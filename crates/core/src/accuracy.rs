@@ -29,7 +29,8 @@
 //! [`BatchStats`] is mergeable: independent walkers produce independent
 //! batches, so [`BatchStats::merge`] pools them with the standard
 //! parallel Welford combination — in walker order, keeping
-//! [`crate::estimate_parallel`] deterministic per `(seed, walkers)`.
+//! multi-walker [`crate::Runner`] runs deterministic per
+//! `(seed, walkers)`.
 
 use crate::checkpoint::{put_f64, put_u64, put_u8, put_usize, Reader};
 use crate::error::{CheckpointError, RuleError};
@@ -835,8 +836,8 @@ pub fn studentized_critical(z: f64, batches: u64) -> f64 {
     }
 }
 
-/// When to stop an adaptive estimation run ([`crate::estimate_until`] /
-/// [`crate::estimate_until_parallel`]).
+/// When to stop an adaptive estimation run
+/// ([`Runner::until`](crate::Runner::until)).
 ///
 /// The run stops at the first convergence check where at least
 /// `min_batches` batches have completed and the widest relative
@@ -1013,9 +1014,9 @@ impl Default for StoppingRule {
     }
 }
 
-/// What an adaptive run ([`crate::estimate_until`] /
-/// [`crate::estimate_until_parallel`]) learned about its own
-/// convergence, attached to the [`crate::Estimate`] it returns.
+/// What an adaptive run ([`Runner::until`](crate::Runner::until)) learned
+/// about its own convergence, attached to the [`crate::Estimate`] it
+/// returns.
 ///
 /// `steps_used[i]` is the pooled step count at the first convergence
 /// check where type `i`'s studentized relative half-width met the

@@ -48,24 +48,9 @@ pub const VERSION: u32 = 2;
 /// bound keeps a flipped length bit from turning into a giant read loop.
 const MAX_PAYLOAD: u64 = 64 << 20;
 
-// ---------------------------------------------------------------------------
-// FNV-1a
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit digest. Every byte step is a bijection of the running
-/// state, so same-length payloads differing in any single bit hash
-/// differently — exactly the guarantee the corruption tests lean on.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// The envelope checksum: the same FNV-1a digest that guards snapshot
+/// headers, re-exported from its home in `gx_graph::disk`.
+pub use gx_graph::disk::fnv1a;
 
 /// Structural graph fingerprint — now defined next to
 /// [`gx_graph::GraphAccess`] itself (it is also embedded in on-disk

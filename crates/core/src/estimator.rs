@@ -1,13 +1,11 @@
 //! Algorithm 1: unbiased estimation of graphlet statistics.
 
-use crate::accuracy::{BatchStats, BurnInReport, ScoreAccumulator, StoppingRule};
+use crate::accuracy::{BatchStats, BurnInReport, ScoreAccumulator};
 use crate::checkpoint::{put_f64, put_u128, put_u32, put_u8, put_usize, Reader};
 use crate::config::EstimatorConfig;
 use crate::css::CssWeights;
 use crate::error::CheckpointError;
 use crate::pie::pie_tilde;
-use crate::result::Estimate;
-use crate::runner::Runner;
 use crate::window::NodeWindow;
 use gx_graph::{GraphAccess, NodeId};
 use gx_graphlets::{
@@ -17,50 +15,6 @@ use gx_walks::{
     effective_degree, export_rng_state, import_rng_state, random_start_edge, random_start_node,
     random_start_state, rng_from_seed, BatchWalk, G2Walk, GdWalk, SrwWalk, StateWalk, WalkRng,
 };
-
-/// Runs the estimator with a walk chosen by `cfg.d` (SRW on `G`, the O(1)
-/// edge walk on `G(2)`, or the enumerating walk on `G(d ≥ 3)`), starting
-/// from a random state drawn with `seed`.
-///
-/// `steps` is the sample budget n of Algorithm 1: the number of windows
-/// scored, matching the paper's "random walk steps" (e.g. 20K in §6).
-///
-/// This is the stable shorthand for
-/// [`Runner::new(cfg).steps(n).seed(s)`](crate::runner::Runner) — it
-/// delegates to the runner (golden-bit tests pin zero estimate drift)
-/// and panics on invalid input where the runner returns
-/// [`crate::GxError`].
-pub fn estimate<G: GraphAccess>(g: &G, cfg: &EstimatorConfig, steps: usize, seed: u64) -> Estimate {
-    match Runner::new(cfg.clone()).steps(steps).seed(seed).run_local(g) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Runs the estimator until [`StoppingRule::converged`] holds at a
-/// convergence check (every `rule.check_every` scored windows) or the
-/// `rule.max_steps` budget is exhausted — adaptive stopping on the
-/// batch-means confidence intervals of [`crate::accuracy`].
-///
-/// The scored-window stream is identical to [`estimate`]'s for the same
-/// `(g, cfg, seed)` — scoring consumes no randomness — so a run that
-/// exhausts `max_steps` returns bit-identical `raw_scores` to
-/// `estimate(g, cfg, max_steps, seed)`.
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).until(rule).seed(s)`](crate::runner::Runner);
-/// panics on invalid input where the runner returns [`crate::GxError`].
-pub fn estimate_until<G: GraphAccess>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    seed: u64,
-    rule: &StoppingRule,
-) -> Estimate {
-    match Runner::new(cfg.clone()).until(rule.clone()).seed(seed).run_local(g) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
 
 /// Builds every process-wide table the configuration will touch (α,
 /// classification, dense CSS), so parallel walkers never serialize on a
@@ -154,19 +108,6 @@ impl Scorer {
         })
     }
 
-    /// Packs the accumulated state into an [`Estimate`] for a run that
-    /// scored `steps` windows.
-    fn finish(self, cfg: &EstimatorConfig, steps: usize) -> Estimate {
-        Estimate {
-            config: cfg.clone(),
-            steps,
-            valid_samples: self.valid,
-            raw_scores: self.raw[..num_graphlets(cfg.k)].to_vec(),
-            accuracy: Some(self.acc.into_stats()),
-            adaptive: None,
-        }
-    }
-
     /// Scores the current window if it is a valid sample (Algorithm 1
     /// lines 4–7). Every call — valid window or not — is one step of the
     /// error-bar accumulator's batch stream.
@@ -240,26 +181,6 @@ fn step_and_accumulate<G: GraphAccess, W: StateWalk>(
     }
 }
 
-/// Runs Algorithm 1 with a caller-supplied walk (any [`StateWalk`] whose
-/// `d` matches `cfg.d`).
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).steps(n).run_with_walk`](crate::runner::Runner::run_with_walk);
-/// panics on invalid input (including a walk/config dimension mismatch)
-/// where the runner returns [`crate::GxError`].
-pub fn estimate_with_walk<G: GraphAccess, W: StateWalk>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    walk: W,
-    steps: usize,
-    rng: WalkRng,
-) -> Estimate {
-    match Runner::new(cfg.clone()).steps(steps).run_with_walk(g, walk, rng) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Burn-in plus the first `l` states (Algorithm 1 line 3): the shared
 /// preamble of the fixed-budget and adaptive runners.
 fn prime_window<G: GraphAccess, W: StateWalk>(
@@ -284,17 +205,16 @@ fn prime_window<G: GraphAccess, W: StateWalk>(
 }
 
 /// A walker's persistent chain state: walk + RNG + window + scorer,
-/// resumable in increments. This is the unit the adaptive runners are
-/// built on — a chain scores `n` more windows per [`WalkSession::run`]
-/// call with *no* re-burn-in between rounds, so the round-based parallel
-/// coordinator ([`crate::estimate_until_parallel`]) pays priming once
-/// per walker, not once per round.
+/// resumable in increments. This is the unit every run is built on — a
+/// chain scores `n` more windows per [`WalkSession::run`] call with *no*
+/// re-burn-in between rounds, so the round-based coordinator of
+/// [`crate::runner::RunHandle`] pays priming once per walker, not once
+/// per round.
 ///
-/// The scored-window stream is identical to [`estimate_with_walk`]'s
-/// for the same `(g, cfg, walk, rng)`: the walk only advances *between*
-/// scored windows (lazily, before the next score), so a session is
-/// never stepped past its last scored window — splitting a budget
-/// across `run` calls cannot change a single sampled window.
+/// The walk only advances *between* scored windows (lazily, before the
+/// next score), so a session is never stepped past its last scored
+/// window — splitting a budget across `run` calls cannot change a
+/// single sampled window.
 pub(crate) struct WalkSession<'g, G: GraphAccess, W: StateWalk> {
     g: &'g G,
     walk: W,
@@ -396,11 +316,6 @@ impl<'g, G: GraphAccess, W: StateWalk> WalkSession<'g, G, W> {
 
     pub(crate) fn stats(&self) -> &BatchStats {
         self.scorer.acc.stats()
-    }
-
-    pub(crate) fn into_estimate(self, cfg: &EstimatorConfig) -> Estimate {
-        let scored = self.scored;
-        self.scorer.finish(cfg, scored)
     }
 }
 
@@ -582,8 +497,8 @@ fn batched_ticks<'g, G: GraphAccess, W: BatchWalk>(
 }
 
 /// [`WalkSession`] with the walk flavor resolved at runtime from
-/// `cfg.d`, replaying [`estimate`]'s exact start-state and RNG protocol
-/// — the persistent-chain form of the dispatch in [`estimate_batch`].
+/// `cfg.d`: SRW on `G` (d = 1), the O(1) edge walk on `G(2)`, or the
+/// enumerating walk on `G(d ≥ 3)`.
 pub(crate) enum AnySession<'g, G: GraphAccess> {
     D1(WalkSession<'g, G, SrwWalk<'g, G>>),
     D2(WalkSession<'g, G, G2Walk<'g, G>>),
@@ -591,6 +506,8 @@ pub(crate) enum AnySession<'g, G: GraphAccess> {
 }
 
 impl<'g, G: GraphAccess> AnySession<'g, G> {
+    /// The chain of a seeded walker: a random start state drawn from
+    /// `rng_from_seed(seed)`, then the same RNG drives the walk.
     pub(crate) fn new(
         g: &'g G,
         cfg: &EstimatorConfig,
@@ -599,24 +516,23 @@ impl<'g, G: GraphAccess> AnySession<'g, G> {
         max_series_batches: usize,
     ) -> Self {
         let cap = max_series_batches;
+        let nb = cfg.non_backtracking;
         let mut rng = rng_from_seed(seed);
-        match cfg.d {
+        let seated = match cfg.d {
             1 => {
                 let start = random_start_node(g, &mut rng);
-                let walk = SrwWalk::new(g, start, cfg.non_backtracking);
-                Self::D1(WalkSession::from_parts(g, cfg, walk, rng, batch_len, cap))
+                SrwWalk::new(g, start, nb).seat(g, cfg, rng, batch_len, cap)
             }
             2 => {
                 let (u, v) = random_start_edge(g, &mut rng);
-                let walk = G2Walk::new(g, u, v, cfg.non_backtracking);
-                Self::D2(WalkSession::from_parts(g, cfg, walk, rng, batch_len, cap))
+                G2Walk::new(g, u, v, nb).seat(g, cfg, rng, batch_len, cap)
             }
             _ => {
                 let start = random_start_state(g, cfg.d, &mut rng);
-                let walk = GdWalk::new(g, &start, cfg.non_backtracking);
-                Self::Dn(WalkSession::from_parts(g, cfg, walk, rng, batch_len, cap))
+                GdWalk::new(g, &start, nb).seat(g, cfg, rng, batch_len, cap)
             }
-        }
+        };
+        seated.0
     }
 
     /// Serializes the walker's full chain state: walk position (with the
@@ -834,6 +750,60 @@ impl<'g, G: GraphAccess> AnySession<'g, G> {
     }
 }
 
+// `pub` items in a private module: a public bound (`run_with_walk`'s
+// `W: SessionWalk`) may name them without a `private_bounds` lint, yet
+// no code outside the crate can name or implement them.
+mod seat {
+    use super::*;
+
+    /// A primed chain in its [`AnySession`] variant — opaque outside
+    /// the crate.
+    pub struct Seated<'g, G: GraphAccess>(pub(crate) AnySession<'g, G>);
+
+    /// The walks a session can hold: [`SrwWalk`], [`G2Walk`] and
+    /// [`GdWalk`]. Sealed (the trait is unnameable outside the crate),
+    /// so [`crate::runner::Runner::run_with_walk`] accepts exactly the
+    /// flavors [`AnySession`] dispatches on.
+    pub trait SessionWalk<'g, G: GraphAccess>: StateWalk + Sized {
+        /// Primes the walk (burn-in + first `l` states) into its
+        /// session variant.
+        fn seat(
+            self,
+            g: &'g G,
+            cfg: &EstimatorConfig,
+            rng: WalkRng,
+            batch_len: usize,
+            max_series_batches: usize,
+        ) -> Seated<'g, G>;
+    }
+
+    /// Implements [`SessionWalk`] for a walk type, seating it in the
+    /// given [`AnySession`] variant.
+    macro_rules! seat_in {
+        ($walk:ident => $variant:ident) => {
+            impl<'g, G: GraphAccess> SessionWalk<'g, G> for $walk<'g, G> {
+                fn seat(
+                    self,
+                    g: &'g G,
+                    cfg: &EstimatorConfig,
+                    rng: WalkRng,
+                    batch_len: usize,
+                    cap: usize,
+                ) -> Seated<'g, G> {
+                    let session = WalkSession::from_parts(g, cfg, self, rng, batch_len, cap);
+                    Seated(AnySession::$variant(session))
+                }
+            }
+        };
+    }
+
+    seat_in!(SrwWalk => D1);
+    seat_in!(G2Walk => D2);
+    seat_in!(GdWalk => Dn);
+}
+
+pub(crate) use seat::SessionWalk;
+
 /// Reads one node id and bounds-checks it against the graph, so no
 /// downstream degree/neighbor lookup can index out of range.
 fn decode_node<G: GraphAccess>(
@@ -890,39 +860,16 @@ fn subset_connected<G: GraphAccess>(g: &G, nodes: &[NodeId]) -> bool {
     seen.count_ones() as usize == d
 }
 
-/// [`estimate_until`] with a caller-supplied walk.
-///
-/// Scores windows in the same order as [`estimate_with_walk`] (the walk
-/// only ever advances between scored windows), checking the stopping
-/// rule every `rule.check_every` scored windows. Like the fixed-budget
-/// runner, the walk is never advanced past the last scored window.
-///
-/// Stable shorthand for
-/// [`Runner::new(cfg).until(rule).run_with_walk`](crate::runner::Runner::run_with_walk);
-/// panics on invalid input where the runner returns [`crate::GxError`].
-pub fn estimate_until_with_walk<G: GraphAccess, W: StateWalk>(
-    g: &G,
-    cfg: &EstimatorConfig,
-    walk: W,
-    rule: &StoppingRule,
-    rng: WalkRng,
-) -> Estimate {
-    match Runner::new(cfg.clone()).until(rule.clone()).run_with_walk(g, walk, rng) {
-        Ok(est) => est,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Measures initialization bias of the chain `(g, cfg, seed)` and
 /// suggests a burn-in, per the batch-mean comparison documented on
-/// [`BurnInReport`]: run a `pilot_steps` pilot (same start-state and
-/// RNG protocol as [`estimate`]), split it into `batch_len`-step
+/// [`BurnInReport`]: run a `pilot_steps` pilot (the chain walker 0 of
+/// `Runner::new(cfg).seed(seed)` runs), split it into `batch_len`-step
 /// batches, and flag leading batches whose total-score mean disagrees
 /// with the trailing half's distribution.
 ///
 /// Run it with `cfg.burn_in == 0` (measuring the raw chain) and feed
-/// `suggested_burn_in` back into the config an `estimate_until*` run
-/// uses; the pilot is wasted work only if the suggestion is zero — on
+/// `suggested_burn_in` back into the config an adaptive
+/// [`Runner::until`](crate::runner::Runner::until) run uses; the pilot is wasted work only if the suggestion is zero — on
 /// the graphs the paper targets it usually is, which is itself the
 /// useful answer ("burn-in is not your problem").
 pub fn measure_burn_in<G: GraphAccess>(
@@ -951,6 +898,8 @@ pub fn measure_burn_in<G: GraphAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accuracy::StoppingRule;
+    use crate::runner::Runner;
     use gx_exact::exact_counts;
     use gx_graph::generators::{classic, erdos_renyi_gnm, holme_kim};
     use gx_graph::Graph;
@@ -959,7 +908,7 @@ mod tests {
     /// on `g` within `tol` (absolute), for the given configuration.
     fn assert_converges(g: &Graph, cfg: &EstimatorConfig, steps: usize, seed: u64, tol: f64) {
         let exact = exact_counts(g, cfg.k).concentrations();
-        let est = estimate(g, cfg, steps, seed).concentrations();
+        let est = Runner::new(cfg.clone()).steps(steps).seed(seed).run(g).unwrap().concentrations();
         for (i, (e, x)) in est.iter().zip(&exact).enumerate() {
             assert!(
                 (e - x).abs() < tol,
@@ -1037,13 +986,13 @@ mod tests {
 
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 5_000, 77);
+        let est = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
         assert_eq!(est.valid_samples, 3709);
         assert_eq!(bits(&est), vec![0x40b3180000000000, 0x408a5aaaaaaaaa38, 0, 0, 0, 0]);
 
         let g = holme_kim(40, 4, 0.5, &mut rng_from_seed(9));
         let cfg = EstimatorConfig { k: 5, d: 2, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 20_000, 23);
+        let est = Runner::new(cfg.clone()).steps(20_000).seed(23).run(&g).unwrap();
         assert_eq!(est.valid_samples, 16494);
         assert_eq!(
             bits(&est),
@@ -1074,14 +1023,14 @@ mod tests {
 
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 3, d: 1, css: true, non_backtracking: true, burn_in: 0 };
-        let est = estimate(&g, &cfg, 10_000, 11);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(11).run(&g).unwrap();
         assert_eq!(est.valid_samples, 9621);
         assert_eq!(bits(&est), vec![0x40a4ba0000000000, 0x40ab1c2e8ba2e798]);
 
         // d = 3 exercises the G(d)-degree fallback + state-degree reuse.
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 5, d: 3, css: true, ..Default::default() };
-        let est = estimate(&g, &cfg, 3_000, 5);
+        let est = Runner::new(cfg.clone()).steps(3_000).seed(5).run(&g).unwrap();
         assert_eq!(est.valid_samples, 2372);
         assert_eq!(
             bits(&est),
@@ -1115,11 +1064,11 @@ mod tests {
     fn estimator_is_deterministic_given_seed() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-        let a = estimate(&g, &cfg, 5_000, 77);
-        let b = estimate(&g, &cfg, 5_000, 77);
+        let a = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
+        let b = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
         assert_eq!(a.raw_scores, b.raw_scores);
         assert_eq!(a.valid_samples, b.valid_samples);
-        let c = estimate(&g, &cfg, 5_000, 78);
+        let c = Runner::new(cfg.clone()).steps(5_000).seed(78).run(&g).unwrap();
         assert_ne!(a.raw_scores, c.raw_scores);
     }
 
@@ -1129,7 +1078,7 @@ mod tests {
         // must put the whole mass there.
         let g = classic::star(12);
         let cfg = EstimatorConfig { k: 4, d: 2, ..Default::default() };
-        let est = estimate(&g, &cfg, 20_000, 3);
+        let est = Runner::new(cfg.clone()).steps(20_000).seed(3).run(&g).unwrap();
         let c = est.concentrations();
         assert!((c[1] - 1.0).abs() < 1e-12, "3-star concentration {c:?}");
     }
@@ -1138,12 +1087,12 @@ mod tests {
     fn valid_fraction_is_sane() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let est = estimate(&g, &cfg, 10_000, 5);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(5).run(&g).unwrap();
         assert!(est.valid_fraction() > 0.5);
         assert!(est.valid_fraction() <= 1.0);
         // NB improves the valid fraction (§4.2's whole point).
         let cfg_nb = EstimatorConfig { k: 3, d: 1, non_backtracking: true, ..Default::default() };
-        let est_nb = estimate(&g, &cfg_nb, 10_000, 5);
+        let est_nb = Runner::new(cfg_nb.clone()).steps(10_000).seed(5).run(&g).unwrap();
         assert!(est_nb.valid_fraction() > est.valid_fraction());
     }
 
@@ -1151,7 +1100,7 @@ mod tests {
     fn burn_in_only_shifts_the_stream() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, burn_in: 100, ..Default::default() };
-        let est = estimate(&g, &cfg, 10_000, 5);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(5).run(&g).unwrap();
         assert_eq!(est.steps, 10_000);
         assert!(est.valid_samples > 0);
     }
@@ -1160,7 +1109,7 @@ mod tests {
     fn estimates_carry_accuracy_stats() {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
-        let est = estimate(&g, &cfg, 10_000, 5);
+        let est = Runner::new(cfg.clone()).steps(10_000).seed(5).run(&g).unwrap();
         let stats = est.accuracy().expect("estimator runs collect accuracy");
         assert_eq!(stats.batch_len(), crate::accuracy::default_batch_len(10_000));
         assert_eq!(stats.batches() as usize, 10_000 / stats.batch_len());
@@ -1191,7 +1140,7 @@ mod tests {
             batch_len: 128,
             ..Default::default()
         };
-        let est = estimate_until(&g, &cfg, 7, &rule);
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(7).run(&g).unwrap();
         assert!(est.steps < rule.max_steps, "converged before the cap (took {})", est.steps);
         assert_eq!(est.steps % rule.check_every, 0, "stopped at a check point");
         let w = est.max_relative_half_width(rule.z, rule.min_concentration);
@@ -1201,7 +1150,7 @@ mod tests {
     #[test]
     fn estimate_until_at_the_cap_matches_fixed_budget_bitwise() {
         // Scoring consumes no randomness, so a run that exhausts
-        // max_steps scores exactly the windows estimate() scores.
+        // max_steps scores exactly the windows a fixed budget scores.
         let g = classic::lollipop(5, 4);
         let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
         let rule = StoppingRule {
@@ -1210,8 +1159,8 @@ mod tests {
             max_steps: 5_000,
             ..Default::default()
         };
-        let until = estimate_until(&g, &cfg, 77, &rule);
-        let fixed = estimate(&g, &cfg, 5_000, 77);
+        let until = Runner::new(cfg.clone()).until(rule.clone()).seed(77).run(&g).unwrap();
+        let fixed = Runner::new(cfg.clone()).steps(5_000).seed(77).run(&g).unwrap();
         assert_eq!(until.steps, 5_000);
         assert_eq!(until.raw_scores, fixed.raw_scores);
         assert_eq!(until.valid_samples, fixed.valid_samples);
@@ -1222,7 +1171,7 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let rule = StoppingRule { max_steps: 0, ..Default::default() };
-        let est = estimate_until(&g, &cfg, 3, &rule);
+        let est = Runner::new(cfg.clone()).until(rule.clone()).seed(3).run(&g).unwrap();
         assert_eq!(est.steps, 0);
         assert_eq!(est.valid_samples, 0);
         assert!(est.raw_scores.iter().all(|&x| x == 0.0));
@@ -1238,9 +1187,9 @@ mod tests {
         assert_eq!(report.batch_means.len(), 16);
         assert_eq!(report.suggested_burn_in % 256, 0);
         assert!(report.first_batch_z.is_finite());
-        // The pilot replays estimate()'s chain: batch means must be the
+        // The pilot replays the runner's chain: batch means must be the
         // per-batch raw-score deltas of the fixed-budget run.
-        let est = estimate(&g, &cfg, 4_096, 7);
+        let est = Runner::new(cfg.clone()).steps(4_096).seed(7).run(&g).unwrap();
         let total: f64 = report.batch_means.iter().sum::<f64>() * 256.0;
         let raw: f64 = est.raw_scores.iter().sum();
         assert!((total - raw).abs() < 1e-9 * raw.max(1.0), "pilot total {total} vs raw {raw}");
@@ -1261,14 +1210,5 @@ mod tests {
         let g = classic::petersen();
         let cfg = EstimatorConfig { k: 3, d: 1, ..Default::default() };
         let _ = measure_burn_in(&g, &cfg, 3, 300, 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "walk dimension")]
-    fn walk_dimension_must_match() {
-        let g = classic::petersen();
-        let cfg = EstimatorConfig { k: 3, d: 2, ..Default::default() };
-        let walk = SrwWalk::new(&g, 0, false);
-        let _ = estimate_with_walk(&g, &cfg, walk, 10, rng_from_seed(1));
     }
 }

@@ -1,13 +1,9 @@
-//! The unified estimation front-end: one composable entry point for
+//! The estimation front door: one composable entry point for
 //! fixed/adaptive × sequential/parallel runs.
 //!
-//! Four PRs of growth left the framework fronted by six free functions
-//! (`estimate`, `estimate_with_walk`, `estimate_until`,
-//! `estimate_until_with_walk`, `estimate_parallel`,
-//! `estimate_until_parallel`), each with its own argument order. They
-//! all parameterize the *same* estimator — the paper's single framework
-//! is one algorithm over `(k, d, css, nb)` — so the [`Runner`] builder
-//! composes the four orthogonal axes explicitly:
+//! The paper's framework is a single estimator over `(k, d, css, nb)`,
+//! and [`Runner`] is its single entry point. The builder composes the
+//! orthogonal axes explicitly:
 //!
 //! * **config** — the [`EstimatorConfig`] passed to [`Runner::new`];
 //! * **budget** — [`Runner::steps`] (fixed) or [`Runner::until`]
@@ -25,10 +21,13 @@
 //!   robustness testing (see the [`crate::checkpoint`] module docs for
 //!   the corruption model).
 //!
-//! Every runner path is **panic-free on bad input**: [`Runner::run`]
-//! returns [`GxError`] where the legacy free functions panic (they are
-//! kept as stable shorthands delegating here, so their behavior — and
-//! their golden-bit outputs — are unchanged).
+//! Every runner path is **panic-free on bad input**: an invalid config,
+//! rule, fan-out or budget is a typed [`GxError`], never a panic.
+//!
+//! There is one run driver. Every entry point — [`Runner::run`],
+//! [`Runner::run_local`], and [`Runner::run_with_walk`] over a
+//! caller-supplied walk — builds a [`RunHandle`] and advances it on the
+//! same fixed/adaptive schedule until it finishes.
 //!
 //! ```
 //! use gx_core::{EstimatorConfig, runner::Runner};
@@ -45,12 +44,11 @@
 //!
 //! A runner's output is a pure function of
 //! `(graph, config, budget, seed, walkers)`: the same chains, scored
-//! windows, and walker-order merges as the legacy entry points, bit for
-//! bit — regardless of thread count ([`Runner::run`] vs
-//! [`Runner::run_local`]) and regardless of how a [`RunHandle`] is
-//! advanced (the persistent [`crate::estimator`] chains only ever step
-//! *between* scored windows, so splitting a budget over
-//! [`RunHandle::advance`] calls cannot move a sample).
+//! windows, and walker-order merges, bit for bit — regardless of thread
+//! count ([`Runner::run`] vs [`Runner::run_local`]) and regardless of
+//! how a [`RunHandle`] is advanced (the persistent [`crate::estimator`]
+//! chains only ever step *between* scored windows, so splitting a budget
+//! over [`RunHandle::advance`] calls cannot move a sample).
 
 use crate::accuracy::{
     default_batch_len, studentized_critical, AdaptiveTracker, BatchStats, StoppingRule,
@@ -62,12 +60,12 @@ use crate::checkpoint::{
 };
 use crate::config::EstimatorConfig;
 use crate::error::{CheckpointError, GxError};
-use crate::estimator::{prewarm, AnySession, WalkSession};
+use crate::estimator::{prewarm, AnySession, SessionWalk};
 use crate::parallel::{available_cores, walker_seed, walker_steps, ParallelConfig};
 use crate::result::Estimate;
 use gx_graph::GraphAccess;
 use gx_graphlets::num_graphlets;
-use gx_walks::{StateWalk, WalkRng};
+use gx_walks::WalkRng;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::rc::Rc;
@@ -362,8 +360,11 @@ impl Runner {
         self
     }
 
-    /// Validates everything the run needs up front.
-    fn check(&self) -> Result<(), GxError> {
+    /// Validates everything the run needs up front and resolves the
+    /// budget into `(rule, batch_len, max_steps)`: the adaptive rule
+    /// (`None` for a fixed budget), the error-bar batch length, and the
+    /// total step cap.
+    fn check(&self) -> Result<(Option<StoppingRule>, usize, usize), GxError> {
         self.cfg.try_validate()?;
         if self.walkers == 0 {
             return Err(GxError::NoWalkers);
@@ -373,7 +374,7 @@ impl Runner {
         }
         match &self.budget {
             Budget::Unset => Err(GxError::NoBudget),
-            Budget::Fixed(_) => Ok(()),
+            Budget::Fixed(steps) => Ok((None, default_batch_len(*steps), *steps)),
             Budget::Until(rule) => {
                 rule.try_validate()?;
                 if rule.max_series_batches != 0 && self.walkers > 1 {
@@ -381,7 +382,7 @@ impl Runner {
                     // desynchronize the pooled batch lengths.
                     return Err(GxError::BoundedMemoryParallel { walkers: self.walkers });
                 }
-                Ok(())
+                Ok((Some(rule.clone()), rule.batch_len, rule.max_steps))
             }
         }
     }
@@ -393,41 +394,37 @@ impl Runner {
     /// [`Runner::run_local`] for every fan-out: walker order, not thread
     /// schedule, fixes every merge.
     pub fn run<G: GraphAccess + Sync>(&self, g: &G) -> Result<Estimate, GxError> {
-        self.check()?;
+        let handle = self.start(g)?;
         if self.walkers > 1 {
             // Build the shared tables once, up front: walker threads
             // must not serialize behind one cold `OnceLock` build.
             prewarm(&self.cfg);
-            self.drive(g, |handle, windows| handle.advance_par(windows))
+            Ok(self.drive(handle, RunHandle::advance_par))
         } else {
-            self.drive(g, |handle, windows| handle.advance(windows))
+            Ok(self.drive(handle, RunHandle::advance))
         }
     }
 
     /// [`Runner::run`] confined to the calling thread: walkers advance
     /// one after another in walker order instead of across cores.
     /// Bit-identical output; this is the path for graphs that are not
-    /// `Sync` (restricted-access crawling) and what the sequential
-    /// legacy shorthands delegate to.
+    /// `Sync` (restricted-access crawling).
     pub fn run_local<G: GraphAccess>(&self, g: &G) -> Result<Estimate, GxError> {
-        self.drive(g, |handle, windows| handle.advance(windows))
+        Ok(self.drive(self.start(g)?, RunHandle::advance))
     }
 
-    /// The one drive loop behind [`Runner::run`] and
-    /// [`Runner::run_local`] — only the advance flavor differs, so the
-    /// two entry points cannot drift apart. (`start` re-validates, so
-    /// callers need no separate `check`.)
+    /// The one drive loop behind every run entry point — only the
+    /// advance flavor differs, so the entry points cannot drift apart.
     fn drive<'g, G: GraphAccess>(
         &self,
-        g: &'g G,
+        mut handle: RunHandle<'g, G>,
         mut advance: impl FnMut(&mut RunHandle<'g, G>, usize) -> Progress,
-    ) -> Result<Estimate, GxError> {
-        let mut handle = self.start(g)?;
+    ) -> Estimate {
         let windows = self.increment(&handle);
         while !handle.is_finished() {
             advance(&mut handle, windows);
         }
-        Ok(handle.finish())
+        handle.finish()
     }
 
     /// The per-walker advance size [`Runner::run`] drives the handle
@@ -451,12 +448,7 @@ impl Runner {
     /// `GraphAccess`; the handle advances walkers on the calling thread
     /// unless [`RunHandle::advance_par`] is used.
     pub fn start<'g, G: GraphAccess>(&self, g: &'g G) -> Result<RunHandle<'g, G>, GxError> {
-        self.check()?;
-        let (rule, batch_len, max_steps) = match &self.budget {
-            Budget::Fixed(steps) => (None, default_batch_len(*steps), *steps),
-            Budget::Until(rule) => (Some(rule.clone()), rule.batch_len, rule.max_steps),
-            Budget::Unset => unreachable!("check() rejects unset budgets"),
-        };
+        let (rule, batch_len, max_steps) = self.check()?;
         let max_series_batches = rule.as_ref().map_or(0, |r| r.max_series_batches);
         let types = num_graphlets(self.cfg.k);
         let mut sessions = Vec::new();
@@ -554,125 +546,37 @@ impl Runner {
         Self::resume(g, &mut bytes.as_slice())
     }
 
-    /// Runs the configured budget over a caller-supplied walk — the
-    /// runner form of the `_with_walk` shorthands. A supplied walk is
-    /// one concrete chain, so the fan-out must be 1
-    /// ([`GxError::ParallelCustomWalk`] otherwise) and the walk's
-    /// dimension must match the configuration's `d`
+    /// Runs the configured budget over a caller-supplied walk: one of
+    /// [`gx_walks::SrwWalk`] (d = 1), [`gx_walks::G2Walk`] (d = 2) or
+    /// [`gx_walks::GdWalk`] (d ≥ 3), with the RNG that drives it. The
+    /// walk is primed and seated as walker 0 of a one-walker
+    /// [`RunHandle`], which then runs on the same schedule as
+    /// [`Runner::run_local`]. A supplied walk is one concrete chain, so
+    /// the fan-out must be 1 ([`GxError::ParallelCustomWalk`] otherwise)
+    /// and the walk's dimension must match the configuration's `d`
     /// ([`GxError::WalkDimensionMismatch`]).
     ///
     /// [`Runner::seed`] has no effect here — the caller supplies both
     /// the walk's start state and the RNG, which together *are* the
-    /// seed. [`Runner::on_progress`] works as on session runs: ticks at
+    /// seed. [`Runner::on_progress`] works as on seeded runs: ticks at
     /// every convergence check (adaptive) or ~16 increments (fixed).
-    pub fn run_with_walk<G: GraphAccess, W: StateWalk>(
+    pub fn run_with_walk<'g, G: GraphAccess, W: SessionWalk<'g, G>>(
         &self,
-        g: &G,
+        g: &'g G,
         walk: W,
         rng: WalkRng,
     ) -> Result<Estimate, GxError> {
-        self.cfg.try_validate()?;
-        if self.walkers == 0 {
-            return Err(GxError::NoWalkers);
-        }
+        let mut handle = self.start(g)?;
         if self.walkers > 1 {
             return Err(GxError::ParallelCustomWalk { walkers: self.walkers });
         }
         if walk.d() != self.cfg.d {
             return Err(GxError::WalkDimensionMismatch { walk_d: walk.d(), cfg_d: self.cfg.d });
         }
-        match &self.budget {
-            Budget::Unset => Err(GxError::NoBudget),
-            Budget::Fixed(steps) => {
-                let batch_len = default_batch_len(*steps);
-                let mut session = WalkSession::from_parts(g, &self.cfg, walk, rng, batch_len, 0);
-                match &self.progress {
-                    // Splitting the budget over `run` calls cannot move
-                    // a sample, so ticking is observability-only.
-                    None => session.run(*steps),
-                    Some(cb) => {
-                        let chunk = (*steps / 16).max(1);
-                        let (mut done, mut rounds) = (0usize, 0usize);
-                        while done < *steps {
-                            let n = chunk.min(*steps - done);
-                            session.run(n);
-                            done += n;
-                            rounds += 1;
-                            let stats = session.stats();
-                            let crit = studentized_critical(1.96, stats.batches());
-                            cb(&Progress {
-                                steps: done,
-                                walkers: 1,
-                                rounds,
-                                batches: stats.batches(),
-                                width: stats.max_relative_half_width(crit, 0.01),
-                                converged: false,
-                                finished: done >= *steps,
-                            });
-                        }
-                    }
-                }
-                Ok(session.into_estimate(&self.cfg))
-            }
-            Budget::Until(rule) => {
-                rule.try_validate()?;
-                let session = WalkSession::from_parts(
-                    g,
-                    &self.cfg,
-                    walk,
-                    rng,
-                    rule.batch_len,
-                    rule.max_series_batches,
-                );
-                Ok(run_adaptive_walk(session, &self.cfg, rule, self.progress.as_ref()))
-            }
-        }
+        let seated = walk.seat(g, &self.cfg, rng, handle.batch_len, handle.max_series_batches);
+        handle.sessions[0] = Some(seated.0);
+        Ok(self.drive(handle, RunHandle::advance))
     }
-}
-
-/// The single-chain adaptive driver for a caller-supplied walk: rounds
-/// of `check_every` scored windows with a convergence check (and a
-/// progress tick) after each, capped at `max_steps`, packing the result
-/// and its [`crate::AdaptiveReport`]. The session-based runner paths
-/// follow the identical schedule through [`RunHandle`]; this driver
-/// serves the generic [`WalkSession`], which cannot live inside the
-/// runtime-dispatched handle.
-fn run_adaptive_walk<G: GraphAccess, W: StateWalk>(
-    mut session: WalkSession<'_, G, W>,
-    cfg: &EstimatorConfig,
-    rule: &StoppingRule,
-    progress: Option<&ProgressFn>,
-) -> Estimate {
-    let mut tracker = AdaptiveTracker::new(session.stats().types());
-    let (mut done, mut rounds, mut met) = (0usize, 0usize, false);
-    while done < rule.max_steps {
-        let round = rule.check_every.min(rule.max_steps - done);
-        session.run(round);
-        done += round;
-        rounds += 1;
-        met = tracker.observe(rule, session.stats(), done);
-        if let Some(cb) = progress {
-            let stats = session.stats();
-            let crit = rule.critical_value(stats.batches());
-            cb(&Progress {
-                steps: done,
-                walkers: 1,
-                rounds,
-                batches: stats.batches(),
-                width: stats.max_relative_half_width(crit, rule.min_concentration),
-                converged: met,
-                finished: met || done >= rule.max_steps,
-            });
-        }
-        if met {
-            break;
-        }
-    }
-    let crit = rule.critical_value(session.stats().batches());
-    let mut est = session.into_estimate(cfg);
-    debug_assert_eq!(est.steps, done);
-    est.adaptive = Some(tracker.report(1, rounds, done, met, crit, vec![WalkerStatus::Healthy]));
-    est
 }
 
 /// A live, resumable estimation run: the persistent per-walker chains
@@ -859,7 +763,7 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         // Incremental pooled-merge, adaptive budgets only: fold each
         // walker's new batches (walker order) into the chronological
         // pooled stream. Fixed budgets never consult the pool — their
-        // final (and progress) statistics are the legacy walker-order
+        // final (and progress) statistics are the walker-order
         // Chan merge of the sessions' own streams, so maintaining a
         // second copy here would be pure waste.
         if let Some(rule) = &self.rule {
@@ -981,8 +885,8 @@ impl<'g, G: GraphAccess> RunHandle<'g, G> {
         self.snapshot()
     }
 
-    /// The fixed-budget statistics: the legacy walker-order Chan merge
-    /// of the sessions' own streams (one walker: that chain's stream,
+    /// The fixed-budget statistics: the walker-order Chan merge of the
+    /// sessions' own streams (one walker: that chain's stream,
     /// untouched) — the same fold [`RunHandle::finish`] packs, so
     /// progress widths and the final estimate's widths agree bitwise.
     fn fixed_stats(&self) -> BatchStats {

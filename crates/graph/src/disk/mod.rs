@@ -87,11 +87,12 @@ const MAGIC_GXSC: [u8; 4] = *b"GXSC";
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit digest (same function, same constants as the
-/// checkpoint envelope): every byte step is a bijection of the running
-/// state, so same-length headers differing in any single bit hash
-/// differently — the guarantee the corruption tests lean on.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit digest — the one copy, shared by snapshot headers and
+/// the checkpoint envelope (`gx_core::checkpoint::fnv1a`). Every byte
+/// step is a bijection of the running state, so same-length inputs
+/// differing in any single bit hash differently — the guarantee the
+/// corruption tests lean on.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);

@@ -7,7 +7,7 @@
 use graphlet_rw::exact::exact_counts;
 use graphlet_rw::graph::generators::holme_kim;
 use graphlet_rw::graphlets::atlas;
-use graphlet_rw::{estimate, EstimatorConfig, EstimatorPool, ParallelConfig, Runner};
+use graphlet_rw::{EstimatorConfig, ParallelConfig, Runner};
 use rand::SeedableRng;
 
 fn main() {
@@ -64,12 +64,14 @@ fn main() {
     let err = Runner::new(EstimatorConfig { k: 9, ..Default::default() }).steps(100).run(&g);
     println!("k = 9 rejected up front: {}", err.unwrap_err());
 
-    // The legacy shorthands remain and delegate to the runner bit for
-    // bit; a reusable pool still serves fixed fan-outs.
-    let one = Runner::new(cfg.clone()).steps(20_000).seed(1).run(&g).unwrap();
-    let seq = estimate(&g, &cfg, 20_000, 1);
-    assert_eq!(one.raw_scores, seq.raw_scores, "shorthand ≡ runner, bitwise");
-    let pool = EstimatorPool::new(ParallelConfig::auto());
-    let pooled = pool.estimate(&g, &cfg, 20_000, 1);
-    println!("pool with {} walkers: {} valid samples", pool.walkers(), pooled.valid_samples);
+    // One walker on the threaded path is bit-identical to the
+    // thread-local run. A runner is a plain value: build it once with
+    // the deployment's fan-out and reuse it for every request.
+    let one = Runner::new(cfg.clone()).steps(20_000).seed(1).walkers(1).run(&g).unwrap();
+    let local = Runner::new(cfg.clone()).steps(20_000).seed(1).run_local(&g).unwrap();
+    assert_eq!(one.raw_scores, local.raw_scores, "threaded ≡ thread-local, bitwise");
+    let par = ParallelConfig::auto();
+    let served = Runner::new(cfg).steps(20_000).parallel(par);
+    let reply = served.clone().seed(1).run(&g).unwrap();
+    println!("reused runner, {} walkers: {} valid samples", par.walkers, reply.valid_samples);
 }

@@ -3,16 +3,15 @@
 //! tier-1 instead of rotting silently until a consumer hits it.
 //!
 //! Keep this in sync with `src/lib.rs` (the facade) and the README's
-//! migration table: every name a user can import from `graphlet_rw`
+//! quick reference: every name a user can import from `graphlet_rw`
 //! should be *used* — not just imported — below.
 
 // Every facade re-export, by name. An unused import would be a warning,
 // not a failure, so each one is exercised in the test bodies.
 use graphlet_rw::{
     baselines, core, datasets, exact, graph, graphlets, walks, AdaptiveReport, BatchStats,
-    BurnInReport, ConfigError, Estimate, EstimatorConfig, EstimatorPool, Graph, GraphAccess,
-    GraphletId, GxError, NodeId, ParallelConfig, Progress, RuleError, RunHandle, Runner,
-    StoppingRule,
+    BurnInReport, ConfigError, Estimate, EstimatorConfig, Graph, GraphAccess, GraphletId, GxError,
+    NodeId, ParallelConfig, Progress, RuleError, RunHandle, Runner, StoppingRule,
 };
 
 #[test]
@@ -28,26 +27,33 @@ fn estimation_entry_points_are_all_callable() {
         ..Default::default()
     };
 
-    // The six stable shorthands.
-    let a = graphlet_rw::estimate(&g, &cfg, 2_000, 1);
-    let b = graphlet_rw::estimate_parallel(&g, &cfg, 2_000, 1, 2);
-    let c = graphlet_rw::estimate_until(&g, &cfg, 1, &rule);
-    let d =
-        graphlet_rw::estimate_until_parallel(&g, &cfg, 1, &rule, &ParallelConfig::with_walkers(2));
-    let e = graphlet_rw::estimate_with_walk(
-        &g,
-        &cfg,
-        walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
-        2_000,
-        walks::rng_from_seed(1),
-    );
-    let f = graphlet_rw::estimate_until_with_walk(
-        &g,
-        &cfg,
-        walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
-        &rule,
-        walks::rng_from_seed(1),
-    );
+    // Every run entry point: fixed/adaptive × sequential/parallel, and
+    // caller-supplied walks.
+    let a = Runner::new(cfg.clone()).steps(2_000).seed(1).run_local(&g).unwrap();
+    let b = Runner::new(cfg.clone()).steps(2_000).seed(1).walkers(2).run(&g).unwrap();
+    let c = Runner::new(cfg.clone()).until(rule.clone()).seed(1).run(&g).unwrap();
+    let d = Runner::new(cfg.clone())
+        .until(rule.clone())
+        .seed(1)
+        .parallel(ParallelConfig::with_walkers(2))
+        .run(&g)
+        .unwrap();
+    let e = Runner::new(cfg.clone())
+        .steps(2_000)
+        .run_with_walk(
+            &g,
+            walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
+            walks::rng_from_seed(1),
+        )
+        .unwrap();
+    let f = Runner::new(cfg.clone())
+        .until(rule.clone())
+        .run_with_walk(
+            &g,
+            walks::SrwWalk::new(&g, 0, cfg.non_backtracking),
+            walks::rng_from_seed(1),
+        )
+        .unwrap();
     for est in [&a, &b, &c, &d, &e, &f] {
         assert!(est.steps > 0 && est.valid_samples > 0);
     }
@@ -55,7 +61,7 @@ fn estimation_entry_points_are_all_callable() {
     // The runner front door: builder, handle, progress, typed errors.
     let runner = Runner::new(cfg.clone()).steps(2_000).seed(1).walkers(2);
     let est: Estimate = runner.run(&g).expect("valid chain");
-    assert_eq!(est.raw_scores, b.raw_scores, "runner ≡ estimate_parallel shorthand");
+    assert_eq!(est.raw_scores, b.raw_scores, "same chain, same bits");
     let mut handle: RunHandle<'_, Graph> = runner.start(&g).expect("valid chain");
     let p: Progress = handle.advance(1_000);
     assert!(p.steps > 0 && !p.converged);
@@ -74,11 +80,6 @@ fn estimation_entry_points_are_all_callable() {
     assert_eq!(adaptive.walkers, 2);
     let stats: &BatchStats = a.accuracy().expect("fixed runs carry stats");
     assert!(stats.batches() > 0);
-
-    // The pool handle a serving layer holds.
-    let pool = EstimatorPool::new(ParallelConfig::with_walkers(2));
-    assert_eq!(pool.walkers(), 2);
-    assert_eq!(pool.estimate(&g, &cfg, 2_000, 1).raw_scores, b.raw_scores);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Conformance suite for the unified `Runner` front-end.
 //!
-//! The acceptance contract of the redesign:
-//! * all six legacy `estimate*` free functions produce **bit-identical**
-//!   `raw_scores` (and identical `AdaptiveReport`s where applicable)
-//!   through the `Runner` rewiring;
+//! The acceptance contract:
+//! * a caller-supplied walk (`run_with_walk`) built exactly as a seeded
+//!   walker builds its own is **bit-identical** to the seeded run —
+//!   raw scores, error bars and `AdaptiveReport` — for every walk
+//!   flavor and budget kind;
 //! * every invalid `EstimatorConfig` / `StoppingRule` / fan-out
 //!   combination yields the right `GxError` variant from the runner
 //!   paths (no panics);
@@ -13,11 +14,12 @@
 //!   bit-identical at every fan-out.
 
 use graphlet_rw::graph::generators::classic;
-use graphlet_rw::walks::{random_start_edge, rng_from_seed, G2Walk, SrwWalk};
+use graphlet_rw::walks::{
+    random_start_edge, random_start_node, random_start_state, rng_from_seed, G2Walk, GdWalk,
+    SrwWalk,
+};
 use graphlet_rw::{
-    estimate, estimate_parallel, estimate_until, estimate_until_parallel, estimate_until_with_walk,
-    estimate_with_walk, ConfigError, EstimatorConfig, GxError, ParallelConfig, RuleError, Runner,
-    StoppingRule,
+    ConfigError, EstimatorConfig, GxError, ParallelConfig, RuleError, Runner, StoppingRule,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -38,89 +40,50 @@ fn bits(est: &graphlet_rw::Estimate) -> Vec<u64> {
     est.raw_scores.iter().map(|x| x.to_bits()).collect()
 }
 
-// --- The six legacy shorthands ≡ their Runner chains -----------------------
+// --- A caller-supplied walk is an ordinary seeded session ---------------
 
 #[test]
-fn estimate_is_the_fixed_sequential_runner_chain() {
+fn run_with_walk_is_bit_identical_to_the_seeded_session() {
+    // A walk and RNG built exactly as a seeded walker builds its own
+    // (random start drawn from `rng_from_seed(seed)`, then the same RNG
+    // drives the walk) must replay `Runner::seed(seed)` bit for bit —
+    // both land in the same one-walker handle and drive loop.
     let g = classic::lollipop(6, 5);
-    for cfg in [EstimatorConfig::recommended(3), EstimatorConfig::recommended(4)] {
-        let legacy = estimate(&g, &cfg, 12_000, 42);
-        let runner = Runner::new(cfg.clone()).steps(12_000).seed(42).run(&g).unwrap();
-        assert_eq!(bits(&legacy), bits(&runner), "{}", cfg.name());
-        assert_eq!(legacy.valid_samples, runner.valid_samples);
-        assert_eq!(legacy.steps, runner.steps);
-        assert_eq!(legacy.accuracy, runner.accuracy);
-        assert!(runner.adaptive.is_none());
+    let seed = 17;
+    for cfg in [
+        EstimatorConfig { k: 3, d: 1, css: true, non_backtracking: true, burn_in: 0 },
+        EstimatorConfig { k: 4, d: 2, css: true, burn_in: 25, ..Default::default() },
+        EstimatorConfig { k: 4, d: 3, non_backtracking: true, ..Default::default() },
+    ] {
+        for runner in
+            [Runner::new(cfg.clone()).steps(9_000), Runner::new(cfg.clone()).until(rule())]
+        {
+            let seeded = runner.clone().seed(seed).run(&g).unwrap();
+            let nb = cfg.non_backtracking;
+            let mut rng = rng_from_seed(seed);
+            let custom = match cfg.d {
+                1 => {
+                    let start = random_start_node(&g, &mut rng);
+                    runner.run_with_walk(&g, SrwWalk::new(&g, start, nb), rng)
+                }
+                2 => {
+                    let (u, v) = random_start_edge(&g, &mut rng);
+                    runner.run_with_walk(&g, G2Walk::new(&g, u, v, nb), rng)
+                }
+                _ => {
+                    let start = random_start_state(&g, cfg.d, &mut rng);
+                    runner.run_with_walk(&g, GdWalk::new(&g, &start, nb), rng)
+                }
+            }
+            .unwrap();
+            let what = format!("{} d={} {runner:?}", cfg.name(), cfg.d);
+            assert_eq!(bits(&seeded), bits(&custom), "{what}");
+            assert_eq!(seeded.steps, custom.steps, "{what}");
+            assert_eq!(seeded.valid_samples, custom.valid_samples, "{what}");
+            assert_eq!(seeded.accuracy, custom.accuracy, "{what}");
+            assert_eq!(seeded.adaptive, custom.adaptive, "{what}");
+        }
     }
-}
-
-#[test]
-fn estimate_parallel_is_the_fixed_parallel_runner_chain() {
-    let g = classic::lollipop(6, 5);
-    let cfg = EstimatorConfig::recommended(4);
-    for walkers in [1usize, 3, 8] {
-        let legacy = estimate_parallel(&g, &cfg, 12_000, 42, walkers);
-        let runner =
-            Runner::new(cfg.clone()).steps(12_000).seed(42).walkers(walkers).run(&g).unwrap();
-        assert_eq!(bits(&legacy), bits(&runner), "walkers={walkers}");
-        assert_eq!(legacy.valid_samples, runner.valid_samples);
-        assert_eq!(legacy.accuracy, runner.accuracy, "walkers={walkers}");
-    }
-}
-
-#[test]
-fn estimate_until_is_the_adaptive_sequential_runner_chain() {
-    let g = classic::lollipop(6, 5);
-    let cfg = EstimatorConfig::recommended(3);
-    let legacy = estimate_until(&g, &cfg, 7, &rule());
-    let runner = Runner::new(cfg).until(rule()).seed(7).run(&g).unwrap();
-    assert_eq!(bits(&legacy), bits(&runner));
-    assert_eq!(legacy.steps, runner.steps);
-    assert_eq!(legacy.accuracy, runner.accuracy);
-    assert_eq!(legacy.adaptive, runner.adaptive, "identical AdaptiveReport");
-}
-
-#[test]
-fn estimate_until_parallel_is_the_adaptive_parallel_runner_chain() {
-    let g = classic::lollipop(6, 5);
-    let cfg = EstimatorConfig::recommended(3);
-    for walkers in [1usize, 2, 5] {
-        let par = ParallelConfig::with_walkers(walkers);
-        let legacy = estimate_until_parallel(&g, &cfg, 7, &rule(), &par);
-        let runner = Runner::new(cfg.clone()).until(rule()).seed(7).parallel(par).run(&g).unwrap();
-        assert_eq!(bits(&legacy), bits(&runner), "walkers={walkers}");
-        assert_eq!(legacy.steps, runner.steps);
-        assert_eq!(legacy.accuracy, runner.accuracy, "walkers={walkers}");
-        assert_eq!(legacy.adaptive, runner.adaptive, "walkers={walkers}");
-    }
-}
-
-#[test]
-fn with_walk_shorthands_are_the_runner_walk_chains() {
-    let g = classic::petersen();
-    // d = 1: a caller-supplied SRW.
-    let cfg = EstimatorConfig { k: 3, d: 1, css: true, ..Default::default() };
-    let legacy = estimate_with_walk(&g, &cfg, SrwWalk::new(&g, 0, false), 8_000, rng_from_seed(5));
-    let runner = Runner::new(cfg.clone())
-        .steps(8_000)
-        .run_with_walk(&g, SrwWalk::new(&g, 0, false), rng_from_seed(5))
-        .unwrap();
-    assert_eq!(bits(&legacy), bits(&runner));
-    assert_eq!(legacy.accuracy, runner.accuracy);
-    // d = 2, adaptive: a caller-supplied edge walk under a stopping rule.
-    let cfg = EstimatorConfig { k: 4, d: 2, css: true, ..Default::default() };
-    let mut rng = rng_from_seed(9);
-    let (u, v) = random_start_edge(&g, &mut rng);
-    let legacy =
-        estimate_until_with_walk(&g, &cfg, G2Walk::new(&g, u, v, false), &rule(), rng.clone());
-    let mut rng2 = rng_from_seed(9);
-    let (u2, v2) = random_start_edge(&g, &mut rng2);
-    let runner = Runner::new(cfg)
-        .until(rule())
-        .run_with_walk(&g, G2Walk::new(&g, u2, v2, false), rng2)
-        .unwrap();
-    assert_eq!(bits(&legacy), bits(&runner));
-    assert_eq!(legacy.adaptive, runner.adaptive, "identical AdaptiveReport");
 }
 
 // --- run vs run_local: thread count never moves a bit ----------------------
@@ -355,7 +318,8 @@ fn progress_callback_fires_and_never_changes_output() {
         .on_progress(move |p| sink.borrow_mut().push(p.steps))
         .run(&g)
         .unwrap();
-    let unobserved = estimate(&g, &EstimatorConfig::recommended(3), 8_000, 13);
+    let unobserved =
+        Runner::new(EstimatorConfig::recommended(3)).steps(8_000).seed(13).run_local(&g).unwrap();
     assert_eq!(bits(&fixed), bits(&unobserved));
     assert_eq!(fixed.accuracy, unobserved.accuracy, "chunked advance keeps the same stats");
     assert!(ticks.borrow().len() >= 8, "fixed runs with a callback tick in increments");
@@ -436,7 +400,7 @@ fn incremental_pool_is_bit_identical_to_a_from_scratch_replay() {
         assert_eq!(&replay, pooled, "walkers={walkers}");
         // With one walker the pool IS the walker's own accumulator.
         if walkers == 1 {
-            let seq = estimate_until(&g, &cfg, 31, &rule());
+            let seq = Runner::new(cfg.clone()).until(rule()).seed(31).run_local(&g).unwrap();
             assert_eq!(seq.accuracy.as_ref(), Some(pooled));
         }
     }
