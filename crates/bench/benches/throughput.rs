@@ -494,7 +494,7 @@ fn main() {
     // points the section at an existing snapshot (e.g. a KONECT crawl
     // converted with `gx-snapshot`) instead of the bench graph's own.
     {
-        use gx_graph::{disk, MmapGraph};
+        use gx_graph::{disk, Graph};
         fn vm_rss_kb() -> u64 {
             std::fs::read_to_string("/proc/self/status")
                 .ok()
@@ -520,17 +520,18 @@ fn main() {
         };
 
         // Open latency = mmap + header checksum + O(nodes) offset
-        // validation; this is the whole cost of adopting a snapshot.
+        // validation + the hub index; the whole cost of adopting a
+        // snapshot.
         let map_secs = time(|| {
-            let m = MmapGraph::open(&snap_path).expect("mapped snapshot opens");
+            let m = Graph::open(&snap_path).expect("mapped snapshot opens");
             black_box(m.num_edges());
         });
 
         let rss0 = vm_rss_kb();
-        let mapped = MmapGraph::open(&snap_path).expect("mapped snapshot opens");
+        let mapped = Graph::open(&snap_path).expect("mapped snapshot opens");
         let mapped_rss_kb = vm_rss_kb().saturating_sub(rss0);
         let rss0 = vm_rss_kb();
-        let in_ram = MmapGraph::open_in_ram(&snap_path).expect("snapshot reads into RAM");
+        let in_ram = Graph::open_in_ram(&snap_path).expect("snapshot reads into RAM");
         let in_ram_rss_kb = vm_rss_kb().saturating_sub(rss0);
         if in_ram_rss_kb > 1024 {
             assert!(

@@ -49,8 +49,8 @@ pub const VERSION: u32 = 2;
 const MAX_PAYLOAD: u64 = 64 << 20;
 
 /// The envelope checksum: the same FNV-1a digest that guards snapshot
-/// headers, re-exported from its home in `gx_graph::disk`.
-pub use gx_graph::disk::fnv1a;
+/// headers, re-exported from its home in `gx_graph::hash`.
+pub use gx_graph::hash::fnv1a;
 
 /// Structural graph fingerprint — now defined next to
 /// [`gx_graph::GraphAccess`] itself (it is also embedded in on-disk
@@ -250,33 +250,10 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), GxE
 /// sibling first, is fsynced, then renamed over the destination. A crash
 /// at any point leaves either the old checkpoint or the new one — never
 /// a torn half-write — which is the property that makes checkpoint files
-/// safe to take on a live cadence.
+/// safe to take on a live cadence. The snapshot writers' own
+/// [`gx_graph::disk::write_atomic`], with the I/O error kind typed.
 pub fn write_atomic<P: AsRef<Path>>(path: P, bytes: &[u8]) -> Result<(), GxError> {
-    let path = path.as_ref();
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        // Rename durability needs the directory entry flushed too; on
-        // platforms where opening a directory for sync is unsupported,
-        // the rename alone is the best available ordering.
-        if let Some(dir) = dir {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    Ok(gx_graph::disk::write_atomic(path.as_ref(), bytes)?)
 }
 
 #[cfg(test)]

@@ -310,10 +310,10 @@ impl CssWeights {
 
     /// `p̃(X^{(l)}) = 2|R(d)| · p(X^{(l)})` for the sample with induced
     /// edge `mask` over `nodes` (slot labeling), with degrees derived from
-    /// `g` — the general-purpose path (tests, ad-hoc queries). The
-    /// estimator's hot loop uses
+    /// `g` — the test oracle. The estimator's hot loop uses
     /// [`CssWeights::sampling_probability_windowed`], which reads the same
     /// degrees from the window instead of the graph.
+    #[cfg(test)]
     pub fn sampling_probability<G: GraphAccess>(
         &mut self,
         g: &G,
@@ -354,8 +354,10 @@ impl CssWeights {
         }
     }
 
-    /// The estimator's hot path: same value as
-    /// [`CssWeights::sampling_probability`] (bit-for-bit), but every
+    /// The estimator's hot path: `p̃(X^{(l)})` for the sample with
+    /// induced edge `mask` over the window's slots — bit-for-bit the
+    /// value the graph-reading test oracle `sampling_probability`
+    /// computes (see the tests), but every
     /// degree comes from bookkeeping the walk already paid for — the
     /// window's cached slot degrees for d ≤ 2, the window's recorded
     /// state degrees for the d ≥ 3 subsets the walk itself visited.

@@ -206,6 +206,11 @@ pub enum ServiceError {
     /// The service shut down before the job completed. Waiters are
     /// released with this instead of hanging on a dead pool.
     Shutdown,
+    /// The job's leases kept panicking workers: after a fixed number of
+    /// quarantines (`gx_service::MAX_RECOVERIES`) the service stops
+    /// re-adopting it, since a deterministic panic (a corrupt snapshot
+    /// body, a bug) would otherwise loop forever.
+    Poisoned,
 }
 
 impl fmt::Display for ServiceError {
@@ -221,6 +226,12 @@ impl fmt::Display for ServiceError {
             }
             Self::Cancelled => write!(f, "job cancelled by its submitter"),
             Self::Shutdown => write!(f, "service shut down before the job completed"),
+            Self::Poisoned => {
+                write!(
+                    f,
+                    "job poisoned: its leases kept panicking workers, so it was not re-adopted"
+                )
+            }
         }
     }
 }
@@ -417,6 +428,7 @@ mod tests {
         assert!(ServiceError::DeadlineExceeded.to_string().contains("deadline exceeded"));
         assert!(ServiceError::Cancelled.to_string().contains("cancelled by its submitter"));
         assert!(ServiceError::Shutdown.to_string().contains("shut down before"));
+        assert!(ServiceError::Poisoned.to_string().contains("kept panicking workers"));
     }
 
     #[test]

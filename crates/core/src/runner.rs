@@ -63,6 +63,7 @@ use crate::error::{CheckpointError, GxError};
 use crate::estimator::{prewarm, AnySession, SessionWalk};
 use crate::parallel::{available_cores, walker_seed, walker_steps, ParallelConfig};
 use crate::result::Estimate;
+use gx_graph::hash::{splitmix64, SPLITMIX_GAMMA};
 use gx_graph::GraphAccess;
 use gx_graphlets::num_graphlets;
 use gx_walks::WalkRng;
@@ -153,11 +154,8 @@ impl FaultPlan {
         assert!(max_round >= 1, "a poison plan needs at least one round");
         let mut x = seed;
         let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            x = x.wrapping_add(SPLITMIX_GAMMA);
+            splitmix64(x)
         };
         let walker = (next() % walkers as u64) as usize;
         let round = 1 + (next() % max_round as u64) as usize;

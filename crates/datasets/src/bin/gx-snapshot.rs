@@ -8,7 +8,7 @@
 //! The edge list is streamed twice (degree count, then CSR fill), so
 //! inputs larger than RAM convert as long as the final CSR fits. When
 //! the input's ids are already dense (`0..n` in order) the id-map
-//! section is skipped — `MmapGraph` then serves identity ids for free.
+//! section is skipped — `Graph::open` then serves identity ids for free.
 //! On success the tool prints the node/edge counts, the structural
 //! fingerprint embedded in the header (the same value
 //! `Runner::resume_trusted` checks), and the bytes written.

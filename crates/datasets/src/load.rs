@@ -12,7 +12,7 @@
 //! unreportable.
 
 use gx_graph::io::{read_edge_list_compact, read_edge_list_compact_file, NodeIdMap};
-use gx_graph::{Graph, GraphError, MmapGraph, NodeId, SnapshotError};
+use gx_graph::{Graph, GraphError, NodeId, SnapshotError};
 use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
@@ -89,8 +89,9 @@ impl LoadedDataset {
 pub struct MappedDataset {
     /// Dataset name (the file stem of the snapshot path).
     pub name: String,
-    /// The mapped graph; `Arc` so jobs and caches can share one mapping.
-    pub graph: Arc<MmapGraph>,
+    /// The mapped graph ([`Graph::open`]); `Arc` so jobs and caches can
+    /// share one mapping.
+    pub graph: Arc<Graph>,
 }
 
 impl MappedDataset {
@@ -102,7 +103,7 @@ impl MappedDataset {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "dataset".to_string());
-        let graph = Arc::new(MmapGraph::open(path)?);
+        let graph = Arc::new(Graph::open(path)?);
         Ok(Self { name, graph })
     }
 

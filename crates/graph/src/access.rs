@@ -168,8 +168,7 @@ impl<T: GraphAccess + ?Sized> GraphAccess for &T {
 /// trusted-resume paths and fingerprint-keyed caches without an O(edges)
 /// rescan: the converter computes it once, over exactly this traversal.
 pub fn graph_fingerprint<G: GraphAccess + ?Sized>(g: &G) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    use crate::hash::{FNV_OFFSET, FNV_PRIME};
     fn eat(h: &mut u64, x: u64) {
         for b in x.to_le_bytes() {
             *h ^= u64::from(b);

@@ -73,19 +73,19 @@ impl GraphBuilder {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
         // Advise hugepage backing *before* the fill loops below fault the
         // pages in: walkers hit these two arrays at random, and for
         // DRAM-sized graphs 4 KiB paging costs a TLB walk per step (and
         // drops the batched engine's prefetch hints). See `advise_hugepages`.
-        crate::csr::advise_hugepages(offsets.as_ptr() as *const u8, (n + 1) * size_of::<usize>());
+        crate::csr::advise_hugepages(offsets.as_ptr() as *const u8, (n + 1) * size_of::<u64>());
         let mut acc = 0usize;
         offsets.push(0);
         for d in &degree {
             acc += d;
-            offsets.push(acc);
+            offsets.push(acc as u64);
         }
-        let mut cursor = offsets.clone();
+        let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
         let mut adjacency = Vec::with_capacity(acc);
         crate::csr::advise_hugepages(adjacency.as_ptr() as *const u8, acc * size_of::<NodeId>());
         adjacency.resize(acc, 0 as NodeId);
@@ -99,10 +99,9 @@ impl GraphBuilder {
         // are therefore already sorted for the forward direction, but the
         // reverse direction interleaves, so sort each list.
         for v in 0..n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
+            adjacency[offsets[v] as usize..offsets[v + 1] as usize].sort_unstable();
         }
-        let hubs = crate::csr::HubIndex::build(&offsets, &adjacency);
-        Graph { offsets, adjacency, hubs }
+        Graph::from_csr_parts(offsets, adjacency)
     }
 }
 

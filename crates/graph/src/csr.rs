@@ -8,8 +8,10 @@
 //! probes (the "k − 1 binary searches" of Section 5).
 
 use crate::builder::GraphBuilder;
+use crate::disk::Backing;
 use crate::error::GraphError;
 use crate::NodeId;
+use std::sync::Arc;
 
 /// Issues a read prefetch for the cache line holding `p` (T0 hint —
 /// all cache levels). On non-x86-64 targets this is a no-op, so callers
@@ -109,15 +111,116 @@ pub(crate) fn madvise_raw(ptr: *const u8, bytes: usize, advice: usize) {
 
 /// An immutable, undirected, simple graph in CSR form.
 ///
-/// Invariants (enforced by [`GraphBuilder`]):
+/// Invariants (enforced by [`GraphBuilder`], and checked at open for
+/// GXSN snapshots — see [`Graph::open`]):
 /// * no self-loops, no duplicate edges;
 /// * each adjacency list is sorted ascending;
 /// * edge `(u, v)` appears in both `neighbors(u)` and `neighbors(v)`.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// The two CSR arrays are either owned `Vec`s (graphs from the builder,
+/// the loaders and the generators) or windows into a shared read-only
+/// GXSN snapshot mapping ([`Graph::open`]). Accessors read plain slices
+/// either way, so every walk runs the same code on both.
+///
+/// Equality is structural: two graphs are equal when their CSR arrays
+/// are, whatever their storage.
+#[derive(Clone)]
 pub struct Graph {
-    pub(crate) offsets: Vec<usize>,
-    pub(crate) adjacency: Vec<NodeId>,
+    pub(crate) offsets: Section<u64>,
+    pub(crate) adjacency: Section<NodeId>,
     pub(crate) hubs: HubIndex,
+    /// The fingerprint embedded in the header of the GXSN snapshot this
+    /// graph was opened from; `None` for graphs built in memory.
+    pub(crate) header_fingerprint: Option<u64>,
+    /// The snapshot's original-id section, when it has one.
+    pub(crate) ids: Option<Section<u64>>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets[..] == other.offsets[..] && self.adjacency[..] == other.adjacency[..]
+    }
+}
+
+impl Eq for Graph {}
+
+/// One read-only CSR array: an owned `Vec`, or a window into a shared
+/// snapshot [`Backing`]. It derefs to a plain slice through a pointer
+/// fixed at construction, so reads never branch on where the array
+/// lives.
+pub(crate) struct Section<T> {
+    ptr: *const T,
+    len: usize,
+    owner: Owner<T>,
+}
+
+/// What keeps a [`Section`]'s memory alive.
+enum Owner<T> {
+    Vec(Vec<T>),
+    Snapshot(Arc<Backing>),
+}
+
+// SAFETY: `ptr` and `len` only address memory `owner` keeps alive and
+// nothing mutates, so sharing a `Section` shares a `&[T]` (needs
+// `T: Sync`). `owner` is a `Vec<T>` or an `Arc` of the `Send + Sync`
+// backing, so sending a `Section` may drop `T`s on the other thread
+// (needs `T: Send`) and shares them with clones left behind.
+unsafe impl<T: Sync> Sync for Section<T> {}
+// SAFETY: as above.
+unsafe impl<T: Send + Sync> Send for Section<T> {}
+
+impl<T> From<Vec<T>> for Section<T> {
+    fn from(v: Vec<T>) -> Self {
+        Self { ptr: v.as_ptr(), len: v.len(), owner: Owner::Vec(v) }
+    }
+}
+
+impl<T> Section<T> {
+    /// The `len` bytes at byte `start` of `backing`, viewed as `[T]` by
+    /// `view` (`disk::as_u64s` / `disk::as_u32s`). The caller checks the
+    /// range against the backing's length first.
+    pub(crate) fn window(
+        backing: &Arc<Backing>,
+        view: fn(&[u8]) -> &[T],
+        start: usize,
+        len: usize,
+    ) -> Self {
+        let s = view(&backing.bytes()[start..start + len]);
+        Self { ptr: s.as_ptr(), len: s.len(), owner: Owner::Snapshot(Arc::clone(backing)) }
+    }
+
+    /// The snapshot backing this array is a window into, if any.
+    pub(crate) fn backing(&self) -> Option<&Backing> {
+        match &self.owner {
+            Owner::Vec(_) => None,
+            Owner::Snapshot(b) => Some(b),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Section<T> {
+    type Target = [T];
+
+    #[inline(always)]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr..ptr + len` is initialized memory that `owner`
+        // keeps alive and nothing mutates: a `Vec`'s heap buffer does not
+        // move with the `Vec` and is never written after construction,
+        // and a snapshot window lies inside the bytes the `Arc<Backing>`
+        // pins (mapped or owned, they never move either).
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl<T: Clone> Clone for Section<T> {
+    fn clone(&self) -> Self {
+        match &self.owner {
+            Owner::Vec(v) => Self::from(v.clone()),
+            Owner::Snapshot(b) => {
+                Self { ptr: self.ptr, len: self.len, owner: Owner::Snapshot(Arc::clone(b)) }
+            }
+        }
+    }
 }
 
 /// Dense bitset adjacency for *hub* nodes (degree ≥ `hub_threshold`),
@@ -157,14 +260,17 @@ pub(crate) fn hub_threshold(num_nodes: usize) -> usize {
 }
 
 impl HubIndex {
-    /// Scans the CSR arrays and builds rows for every hub.
-    pub(crate) fn build(offsets: &[usize], adjacency: &[NodeId]) -> Self {
+    /// Scans the CSR arrays and builds rows for every hub. `None` when a
+    /// hub's list holds an id `>= n`, which only a corrupt snapshot body
+    /// can contain: the builder, the loaders and the generators emit
+    /// in-range ids by construction.
+    pub(crate) fn build(offsets: &[u64], adjacency: &[NodeId]) -> Option<Self> {
         let n = offsets.len() - 1;
-        let threshold = hub_threshold(n);
+        let threshold = hub_threshold(n) as u64;
         let hubs: Vec<usize> =
             (0..n).filter(|&v| offsets[v + 1] - offsets[v] >= threshold).collect();
         if hubs.is_empty() {
-            return Self::default();
+            return Some(Self::default());
         }
         let words = n.div_ceil(64);
         let mut row_of = vec![u32::MAX; n];
@@ -172,40 +278,14 @@ impl HubIndex {
         for (row, &v) in hubs.iter().enumerate() {
             row_of[v] = row as u32;
             let base = row * words;
-            for &w in &adjacency[offsets[v]..offsets[v + 1]] {
+            for &w in &adjacency[offsets[v] as usize..offsets[v + 1] as usize] {
+                if w as usize >= n {
+                    return None;
+                }
                 bits[base + w as usize / 64] |= 1 << (w % 64);
             }
         }
-        Self { row_of, words, bits }
-    }
-
-    /// [`HubIndex::build`] over any [`crate::GraphAccess`] backend —
-    /// the generalization that gives the mapped on-disk CSR
-    /// (`gx_graph::disk::MmapGraph`) the same O(1) hub `has_edge`
-    /// asymptotics as the in-RAM [`Graph`]. One O(|E|) scan; rows are
-    /// bit-identical to the slice-based builder for the same adjacency
-    /// structure.
-    pub(crate) fn build_from_access<G: crate::GraphAccess + ?Sized>(g: &G) -> Self {
-        let n = g.num_nodes();
-        let threshold = hub_threshold(n);
-        let hubs: Vec<usize> = (0..n).filter(|&v| g.degree(v as NodeId) >= threshold).collect();
-        if hubs.is_empty() {
-            return Self::default();
-        }
-        let words = n.div_ceil(64);
-        let mut row_of = vec![u32::MAX; n];
-        let mut bits = vec![0u64; hubs.len() * words];
-        for (row, &v) in hubs.iter().enumerate() {
-            row_of[v] = row as u32;
-            let base = row * words;
-            let row_bits = &mut bits[base..base + words];
-            g.visit_neighbors(v as NodeId, &mut |nbrs| {
-                for &w in nbrs {
-                    row_bits[w as usize / 64] |= 1 << (w % 64);
-                }
-            });
-        }
-        Self { row_of, words, bits }
+        Some(Self { row_of, words, bits })
     }
 
     /// True when the graph has no hubs (fast-path bypass).
@@ -264,17 +344,24 @@ impl Graph {
     }
 
     /// Assembles a graph directly from already-built CSR arrays, building
-    /// only the hub index. The caller must guarantee the [`Graph`]
-    /// invariants (sorted, deduplicated, symmetric, self-loop-free
-    /// adjacency; `offsets.len() == num_nodes + 1` with `offsets[0] == 0`
-    /// and `offsets[n] == adjacency.len()`). Used by the streaming
-    /// edge-list loader, which establishes those invariants without ever
-    /// materializing the full edge list.
-    pub(crate) fn from_csr_parts(offsets: Vec<usize>, adjacency: Vec<NodeId>) -> Self {
+    /// only the hub index; the `Vec`s are kept, not copied. The caller
+    /// must guarantee the [`Graph`] invariants (sorted, deduplicated,
+    /// symmetric, self-loop-free adjacency; `offsets.len() == num_nodes +
+    /// 1` with `offsets[0] == 0` and `offsets[n] == adjacency.len()`).
+    /// Used by the builder and the streaming edge-list loader.
+    pub(crate) fn from_csr_parts(offsets: Vec<u64>, adjacency: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), adjacency.len());
-        let hubs = HubIndex::build(&offsets, &adjacency);
-        Self { offsets, adjacency, hubs }
+        debug_assert_eq!(*offsets.last().unwrap_or(&0), adjacency.len() as u64);
+        // In-range ids make `build` succeed; an empty index would still be
+        // correct, only slower (`has_edge` falls back to binary search).
+        let hubs = HubIndex::build(&offsets, &adjacency).unwrap_or_default();
+        Self {
+            offsets: offsets.into(),
+            adjacency: adjacency.into(),
+            hubs,
+            header_fingerprint: None,
+            ids: None,
+        }
     }
 
     /// Number of nodes (including isolated ones).
@@ -293,14 +380,14 @@ impl Graph {
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
     /// Sorted adjacency list of `v`.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
-        &self.adjacency[self.offsets[v]..self.offsets[v + 1]]
+        &self.adjacency[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Whether the undirected edge `(u, v)` exists. O(1) bitset probe
@@ -328,7 +415,7 @@ impl Graph {
     #[inline]
     pub fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
         debug_assert!(i < self.degree(v), "neighbor_at({v}, {i}) out of range");
-        self.adjacency[self.offsets[v as usize] + i]
+        self.adjacency[self.offsets[v as usize] as usize + i]
     }
 
     /// Hints the CPU to pull `v`'s CSR offset pair into cache ahead of a
@@ -363,11 +450,10 @@ impl Graph {
     pub fn prefetch_neighbors(&self, v: NodeId) {
         let v = v as usize;
         if v + 1 < self.offsets.len() {
-            let start = self.offsets[v];
-            let end = self.offsets[v + 1];
+            let start = self.offsets[v] as usize;
+            let len = (self.offsets[v + 1] - self.offsets[v]) as usize;
             let base = self.adjacency.as_ptr();
             prefetch_read(base.wrapping_add(start));
-            let len = end - start;
             if len > 16 {
                 prefetch_read(base.wrapping_add(start + len / 2));
             }

@@ -1,57 +1,39 @@
-//! Zero-copy reader for raw-CSR **GXSN** snapshots.
+//! The GXSN reader: [`Graph::open`] serves a raw-CSR snapshot as a
+//! plain [`Graph`] whose two arrays are windows into the mapping.
 //!
-//! [`MmapGraph`] maps the snapshot read-only and serves [`GraphAccess`]
-//! straight out of the mapping: `neighbors(v)` is a subslice of the
-//! page cache, never a copy, so N walker threads — and N *processes* —
-//! share one physical copy of a billion-edge CSR. On x86-64 Linux the
-//! mapping is a raw `mmap` syscall (the workspace takes no libc-style
-//! dependency; same precedent as the `madvise` call in `csr.rs`);
-//! everywhere else, and via [`MmapGraph::open_in_ram`], the file is
-//! read into an owned aligned buffer behind the identical API.
+//! `neighbors(v)` is then a subslice of the page cache, never a copy, so
+//! N walker threads — and N *processes* — share one physical copy of a
+//! billion-edge CSR, and every accessor is the in-RAM graph's own code.
+//! On x86-64 Linux the mapping is a raw `mmap` syscall (the workspace
+//! takes no libc-style dependency; same precedent as the `madvise` call
+//! in `csr.rs`); everywhere else, and via [`Graph::open_in_ram`], the
+//! file is read into an owned aligned buffer behind the identical API.
 
 use super::{
     as_u32s, as_u64s, ck_add, ck_mul, page_align, to_usize, Backing, SnapshotError, SnapshotHeader,
     SnapshotKind, HEADER_LEN, PAGE,
 };
-use crate::access::{graph_fingerprint, GraphAccess};
-use crate::csr::{prefetch_read, HubIndex, MADV_HUGEPAGE, MADV_WILLNEED};
-use crate::NodeId;
+use crate::access::graph_fingerprint;
+use crate::csr::{HubIndex, Section, MADV_HUGEPAGE, MADV_WILLNEED};
+use crate::{Graph, NodeId};
 use std::path::Path;
+use std::sync::Arc;
 
-/// A read-only CSR graph served from a mapped (or RAM-loaded) GXSN
-/// snapshot. Implements [`GraphAccess`], so every walk engine — scalar
-/// and lock-step batched — runs on it unmodified and bit-identically to
-/// the in-RAM [`crate::Graph`] built from the same edges.
-///
-/// Opening validates the header checksum, the exact file length, and
-/// the monotonicity/bounds of the offset array before any accessor can
-/// run, so the accessors themselves are plain bounds-checked loads.
-/// The neighbor *values* are trusted from the (checksummed) writer; a
-/// paranoid consumer can call [`MmapGraph::validate_deep`] for the full
-/// O(edges) scan.
-///
-/// `has_edge` defaults to a binary search of the smaller endpoint's
-/// list — O(log d), measured and documented in the bench. Call
-/// [`MmapGraph::build_hub_index`] after opening to spend one O(edges)
-/// scan on the same hub-bitset acceleration the in-RAM graph gets from
-/// its builder, making hub probes O(1).
-pub struct MmapGraph {
-    backing: Backing,
-    num_nodes: usize,
-    num_edges: usize,
-    fingerprint: u64,
-    /// Byte (start, len) of the offsets section: `(n + 1) × u64`.
-    off: (usize, usize),
-    /// Byte (start, len) of the adjacency section: `2E × u32`.
-    adj: (usize, usize),
-    /// Byte (start, len) of the optional original-id section: `n × u64`.
-    ids: Option<(usize, usize)>,
-    hubs: HubIndex,
-}
+/// A graph opened from a GXSN snapshot: [`Graph`] itself, under the
+/// name the repository benchmark still calls.
+pub type MmapGraph = Graph;
 
-impl MmapGraph {
+impl Graph {
     /// Opens a GXSN snapshot zero-copy (mapped where supported, RAM
-    /// fallback elsewhere), validating header and index bounds first.
+    /// fallback elsewhere).
+    ///
+    /// Opening validates the header checksum, the exact file length, and
+    /// the offset array (starts at 0, monotone, ends at the adjacency
+    /// length) before any accessor can run, then builds the hub index
+    /// the builder would — which range-checks every hub's list. Other
+    /// neighbor *values* are trusted from the (checksummed) writer; a
+    /// paranoid consumer can call [`Graph::validate_deep`] for the full
+    /// O(edges) scan.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         Self::from_backing(Backing::map(path.as_ref())?)
     }
@@ -81,9 +63,7 @@ impl MmapGraph {
         let entries = to_usize(header.num_edges.saturating_mul(2), "adjacency entries")?;
         let off_len = ck_mul(ck_add(n, 1, "offsets entries")?, 8, "offsets bytes")?;
         let adj_len = ck_mul(entries, 4, "adjacency bytes")?;
-        let off = (PAGE, off_len);
         let adj_start = page_align(ck_add(PAGE, off_len, "layout")?, "layout")?;
-        let adj = (adj_start, adj_len);
         let mut total = page_align(ck_add(adj_start, adj_len, "layout")?, "layout")?;
         let ids = if header.has_id_map() {
             let ids_len = ck_mul(n, 8, "id map bytes")?;
@@ -99,132 +79,70 @@ impl MmapGraph {
         if len > total {
             return Err(SnapshotError::Malformed { what: "trailing bytes after last section" });
         }
-        backing.normalize_u64s(off.0, off.1);
-        backing.normalize_u32s(adj.0, adj.1);
-        if let Some(ids) = ids {
-            backing.normalize_u64s(ids.0, ids.1);
+        backing.normalize_u64s(PAGE, off_len);
+        backing.normalize_u32s(adj_start, adj_len);
+        if let Some((start, len)) = ids {
+            backing.normalize_u64s(start, len);
         }
-        let g = MmapGraph {
-            backing,
-            num_nodes: n,
-            num_edges: to_usize(header.num_edges, "edge count")?,
-            fingerprint: header.fingerprint,
-            off,
-            adj,
-            ids,
-            hubs: HubIndex::default(),
-        };
+        let backing = Arc::new(backing);
+        let offsets = Section::window(&backing, as_u64s, PAGE, off_len);
+        let adjacency = Section::window(&backing, as_u32s, adj_start, adj_len);
+        let ids = ids.map(|(start, len)| Section::window(&backing, as_u64s, start, len));
         // Offsets must be a valid CSR index: start at 0, never decrease,
         // and end exactly at the adjacency entry count. With that, every
         // accessor's slice arithmetic is in-bounds by construction.
-        {
-            let offsets = g.offsets();
-            if offsets.first() != Some(&0) {
-                return Err(SnapshotError::Malformed { what: "offsets[0] != 0" });
-            }
-            if offsets.last() != Some(&(entries as u64)) {
-                return Err(SnapshotError::Malformed { what: "offsets[n] != 2 * num_edges" });
-            }
-            if offsets.windows(2).any(|w| w[1] < w[0]) {
-                return Err(SnapshotError::Malformed { what: "offsets not monotone" });
-            }
+        if offsets.first() != Some(&0) {
+            return Err(SnapshotError::Malformed { what: "offsets[0] != 0" });
+        }
+        if offsets.last() != Some(&(entries as u64)) {
+            return Err(SnapshotError::Malformed { what: "offsets[n] != 2 * num_edges" });
+        }
+        if offsets.windows(2).any(|w| w[1] < w[0]) {
+            return Err(SnapshotError::Malformed { what: "offsets not monotone" });
         }
         // Pure hints, in walk-priority order: fault the index arrays in
         // soon, and back them with hugepages so random neighbor probes
         // stay within TLB reach (see `csr::advise_hugepages`).
-        g.backing.advise(0, total, MADV_WILLNEED);
-        g.backing.advise(off.0, adj.0 + adj.1 - off.0, MADV_HUGEPAGE);
-        Ok(g)
+        backing.advise(0, total, MADV_WILLNEED);
+        backing.advise(PAGE, adj_start + adj_len - PAGE, MADV_HUGEPAGE);
+        let hubs = HubIndex::build(&offsets, &adjacency)
+            .ok_or(SnapshotError::Malformed { what: "neighbor id out of range in a hub list" })?;
+        Ok(Graph { offsets, adjacency, hubs, header_fingerprint: Some(header.fingerprint), ids })
     }
 
-    #[inline]
-    fn offsets(&self) -> &[u64] {
-        as_u64s(&self.backing.bytes()[self.off.0..self.off.0 + self.off.1])
-    }
-
-    #[inline]
-    fn adjacency(&self) -> &[u32] {
-        as_u32s(&self.backing.bytes()[self.adj.0..self.adj.0 + self.adj.1])
-    }
-
-    /// Number of nodes (including isolated ones).
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of undirected edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// The [`graph_fingerprint`] embedded (and checksummed) in the
-    /// header at write time — what trusted-resume and the service's
-    /// snapshot cache key on without rescanning the edges.
-    #[inline]
+    /// The graph's [`graph_fingerprint`]: the value embedded (and
+    /// checksummed) in the snapshot header for a graph opened from a
+    /// GXSN file — O(1), what trusted-resume and the service's snapshot
+    /// cache key on — else one O(edges) scan.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.header_fingerprint.unwrap_or_else(|| graph_fingerprint(self))
     }
 
-    /// Original dataset ids (`compact id → source id`), when the
-    /// converter stored them.
+    /// Original dataset ids (`compact id → source id`), when the graph
+    /// was opened from a snapshot that stores them.
     pub fn original_ids(&self) -> Option<&[u64]> {
-        self.ids.map(|(start, len)| as_u64s(&self.backing.bytes()[start..start + len]))
+        self.ids.as_deref()
     }
 
-    /// True when served zero-copy from a mapping (false on the RAM
-    /// fallback path).
+    /// True when the CSR arrays are served zero-copy from a snapshot
+    /// mapping (false for graphs built in RAM and on the read-into-RAM
+    /// path).
     pub fn is_mapped(&self) -> bool {
-        self.backing.is_mapped()
-    }
-
-    /// Degree of `v`.
-    #[inline]
-    pub fn degree(&self, v: NodeId) -> usize {
-        let o = self.offsets();
-        let v = v as usize;
-        (o[v + 1] - o[v]) as usize
-    }
-
-    /// Sorted adjacency list of `v` — a subslice of the mapping, zero
-    /// copies.
-    #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let o = self.offsets();
-        let v = v as usize;
-        &self.adjacency()[o[v] as usize..o[v + 1] as usize]
-    }
-
-    /// Builds the same hub-bitset `has_edge` acceleration the in-RAM
-    /// [`crate::Graph`] gets from its builder: one O(edges) scan, O(1)
-    /// probes against hub endpoints afterwards. Opt-in because opening
-    /// stays O(nodes) without it and many workloads (pure SRW) never
-    /// call `has_edge` against hubs hot enough to matter.
-    pub fn build_hub_index(&mut self) {
-        let hubs = HubIndex::build_from_access(&*self);
-        self.hubs = hubs;
-    }
-
-    /// Whether [`MmapGraph::build_hub_index`] has produced a non-empty
-    /// index.
-    pub fn has_hub_index(&self) -> bool {
-        !self.hubs.is_empty()
+        self.adjacency.backing().is_some_and(|b| b.is_mapped())
     }
 
     /// Full O(edges) integrity scan: every neighbor id in range, every
     /// list strictly ascending (sorted, deduplicated, self-loop-free is
     /// implied together with symmetry of the writer), and the
-    /// recomputed [`graph_fingerprint`] equal to the header's. `open`
-    /// skips this deliberately — the header checksum already guards
-    /// against torn writes — but a consumer adopting a snapshot from an
-    /// untrusted producer can insist.
+    /// recomputed [`graph_fingerprint`] equal to [`Graph::fingerprint`].
+    /// [`Graph::open`] skips this deliberately — the header checksum
+    /// already guards against torn writes — but a consumer adopting a
+    /// snapshot from an untrusted producer can insist.
     pub fn validate_deep(&self) -> Result<(), SnapshotError> {
-        let n = self.num_nodes as u64;
-        for v in 0..self.num_nodes {
-            let nbrs = self.neighbors(v as NodeId);
+        let n = self.num_nodes() as u64;
+        for v in 0..self.num_nodes() {
             let mut prev: Option<NodeId> = None;
-            for &w in nbrs {
+            for &w in self.neighbors(v as NodeId) {
                 if u64::from(w) >= n {
                     return Err(SnapshotError::Malformed { what: "neighbor id out of range" });
                 }
@@ -236,91 +154,10 @@ impl MmapGraph {
                 prev = Some(w);
             }
         }
-        if graph_fingerprint(self) != self.fingerprint {
+        if graph_fingerprint(self) != self.fingerprint() {
             return Err(SnapshotError::Malformed { what: "fingerprint mismatch" });
         }
         Ok(())
-    }
-}
-
-impl std::fmt::Debug for MmapGraph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MmapGraph")
-            .field("num_nodes", &self.num_nodes)
-            .field("num_edges", &self.num_edges)
-            .field("fingerprint", &self.fingerprint)
-            .field("mapped", &self.is_mapped())
-            .field("hub_index", &self.has_hub_index())
-            .finish()
-    }
-}
-
-impl GraphAccess for MmapGraph {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    #[inline]
-    fn degree(&self, v: NodeId) -> usize {
-        MmapGraph::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        MmapGraph::neighbors(self, v)
-    }
-
-    #[inline]
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return false;
-        }
-        if !self.hubs.is_empty() {
-            if let Some(row) = self.hubs.row(u) {
-                return self.hubs.test(row, v);
-            }
-            if let Some(row) = self.hubs.row(v) {
-                return self.hubs.test(row, u);
-            }
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        self.neighbors(a).binary_search(&b).is_ok()
-    }
-
-    #[inline]
-    fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
-        // One offset load, as in the in-RAM graph: this sits on the
-        // walk's per-step critical path.
-        let o = self.offsets();
-        self.adjacency()[o[v as usize] as usize + i]
-    }
-
-    // gx-lint: no_alloc
-    #[inline(always)]
-    fn prefetch_degree(&self, v: NodeId) {
-        let o = self.offsets();
-        let v = v as usize;
-        if v + 1 < o.len() {
-            // `offsets[v]` and `offsets[v + 1]` share a line fetch.
-            prefetch_read(o.as_ptr().wrapping_add(v));
-        }
-    }
-
-    // gx-lint: no_alloc
-    #[inline(always)]
-    fn prefetch_neighbors(&self, v: NodeId) {
-        let o = self.offsets();
-        let v = v as usize;
-        if v + 1 < o.len() {
-            let start = o[v] as usize;
-            let len = (o[v + 1] - o[v]) as usize;
-            let base = self.adjacency().as_ptr();
-            prefetch_read(base.wrapping_add(start));
-            if len > 16 {
-                prefetch_read(base.wrapping_add(start + len / 2));
-            }
-        }
     }
 }
 
@@ -329,7 +166,6 @@ mod tests {
     use super::super::{read_header, write_gxsn, SnapshotKind};
     use super::*;
     use crate::generators::classic;
-    use crate::Graph;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -354,16 +190,14 @@ mod tests {
         assert_eq!(info.num_edges, g.num_edges() as u64);
         assert_eq!(read_header(&path).expect("header").fingerprint, info.fingerprint);
 
-        for m in
-            [MmapGraph::open(&path).expect("open"), MmapGraph::open_in_ram(&path).expect("ram")]
-        {
+        for m in [Graph::open(&path).expect("open"), Graph::open_in_ram(&path).expect("ram")] {
             assert_eq!(m.num_nodes(), g.num_nodes());
             assert_eq!(m.num_edges(), g.num_edges());
             assert_eq!(m.fingerprint(), graph_fingerprint(&g));
             assert_eq!(m.original_ids(), None);
             for v in 0..g.num_nodes() as NodeId {
                 assert_eq!(m.neighbors(v), g.neighbors(v), "node {v}");
-                assert_eq!(GraphAccess::degree(&m, v), g.degree(v));
+                assert_eq!(m.degree(v), g.degree(v));
             }
             m.validate_deep().expect("deep validation");
         }
@@ -376,7 +210,7 @@ mod tests {
         let ids: Vec<u64> = vec![100, 205, 307, 409, 511];
         let path = tmp("ids.gxsn");
         write_gxsn(&g, Some(&ids), &path).expect("write");
-        let m = MmapGraph::open(&path).expect("open");
+        let m = Graph::open(&path).expect("open");
         assert_eq!(m.original_ids(), Some(&ids[..]));
         let _ = std::fs::remove_file(&path);
     }
@@ -390,20 +224,43 @@ mod tests {
 
     #[test]
     fn hub_index_matches_binary_search_fallback() {
-        let g = sample();
+        // The integration suite's reference graph: a degree-40 hub (star
+        // center 0), a clique on its first leaves, and a long tail.
+        let mut edges: Vec<(NodeId, NodeId)> = (1..=40).map(|v| (0, v)).collect();
+        edges.extend((1..=8).flat_map(|u| (u + 1..=8).map(move |v| (u, v))));
+        edges.extend((40..60).map(|v| (v, v + 1)));
+        let g = Graph::from_edges_auto(&edges);
         let path = tmp("hubs.gxsn");
         write_gxsn(&g, None, &path).expect("write");
-        let plain = MmapGraph::open(&path).expect("open");
-        let mut accel = MmapGraph::open(&path).expect("open");
-        assert!(!plain.has_hub_index());
-        accel.build_hub_index();
-        assert!(accel.has_hub_index(), "sample graph has a degree-39 hub");
-        for u in 0..g.num_nodes() as NodeId {
-            for v in 0..g.num_nodes() as NodeId {
-                let want = g.has_edge(u, v);
-                assert_eq!(plain.has_edge(u, v), want, "fallback ({u},{v})");
-                assert_eq!(accel.has_edge(u, v), want, "hub path ({u},{v})");
+        for m in [Graph::open(&path).expect("open"), Graph::open_in_ram(&path).expect("ram")] {
+            assert!(m.hubs.row(0).is_some(), "the degree-40 center is a hub");
+            assert!(m.hubs == g.hubs, "open builds the builder's hub rows");
+            for u in 0..g.num_nodes() as NodeId {
+                for v in 0..g.num_nodes() as NodeId {
+                    let fallback = u != v && m.neighbors(u).binary_search(&v).is_ok();
+                    assert_eq!(m.has_edge(u, v), fallback, "({u},{v})");
+                }
             }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_range_id_in_a_hub_list_is_refused_at_open() {
+        let g = sample();
+        let path = tmp("badhub.gxsn");
+        write_gxsn(&g, None, &path).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read");
+        // The adjacency section starts on the page after the offsets;
+        // node 0 (the hub) owns its first entries.
+        let adj = PAGE + page_align((g.num_nodes() + 1) * 8, "layout").expect("small");
+        bytes[adj..adj + 4].copy_from_slice(&(g.num_nodes() as u32).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
+        for res in [Graph::open(&path), Graph::open_in_ram(&path)] {
+            assert_eq!(
+                res.unwrap_err(),
+                SnapshotError::Malformed { what: "neighbor id out of range in a hub list" }
+            );
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -414,7 +271,7 @@ mod tests {
         {
             let path = tmp("empty.gxsn");
             write_gxsn(&g, None, &path).expect("write");
-            let m = MmapGraph::open(&path).expect("open");
+            let m = Graph::open(&path).expect("open");
             assert_eq!(m.num_nodes(), g.num_nodes());
             assert_eq!(m.num_edges(), 0);
             let _ = std::fs::remove_file(&path);
@@ -426,13 +283,13 @@ mod tests {
         let g = classic::path(4);
         let path = tmp("wrongkind.gxsc");
         super::super::write_gxsc(&g, None, &path).expect("write");
-        assert_eq!(MmapGraph::open(&path).unwrap_err(), SnapshotError::BadMagic);
+        assert_eq!(Graph::open(&path).unwrap_err(), SnapshotError::BadMagic);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn missing_file_is_io_not_found() {
-        let err = MmapGraph::open(tmp("nonexistent.gxsn")).unwrap_err();
+        let err = Graph::open(tmp("nonexistent.gxsn")).unwrap_err();
         assert_eq!(err, SnapshotError::Io(std::io::ErrorKind::NotFound));
     }
 }

@@ -11,9 +11,11 @@
 //!
 //! Two formats share one 64-byte header:
 //!
-//! * **GXSN** ([`MmapGraph`]) — raw CSR. Offsets as `u64`, neighbors as
-//!   `u32`, each section page-aligned. Fastest; file size ≈ the in-RAM
-//!   CSR.
+//! * **GXSN** ([`crate::Graph::open`]) — raw CSR. Offsets as `u64`,
+//!   neighbors as `u32`, each section page-aligned: the same two arrays
+//!   as an in-RAM [`crate::Graph`], so opening one yields a plain graph
+//!   whose arrays are windows into the mapping. Fastest; file size ≈ the
+//!   in-RAM CSR.
 //! * **GXSC** ([`CompressedGraph`]) — per-node delta-encoded varint
 //!   neighbor lists with an explicit degree array and a block-sampled
 //!   offset index, decoded on demand through a bounded block LRU. For
@@ -42,11 +44,13 @@
 //!
 //! Opening validates the header checksum, the exact file length against
 //! the layout the header declares, and the structural invariants of the
-//! index arrays (offsets monotone and bounded for GXSN; a full decode
-//! pass for GXSC) *before* exposing anything. Every corrupt, truncated,
-//! or oversized input surfaces as a typed [`SnapshotError`] — never a
-//! panic, never a silently-wrong graph — mirroring the checkpoint
-//! envelope's contract in `gx_core::checkpoint`.
+//! index arrays (offsets monotone and bounded, and every hub list in
+//! range, for GXSN; a full decode pass for GXSC) *before* exposing
+//! anything. Every corrupt, truncated, or oversized header or index
+//! surfaces as a typed [`SnapshotError`], never a panic — mirroring the
+//! checkpoint envelope's contract in `gx_core::checkpoint`. The GXSN
+//! neighbor values outside hub lists are not checksummed: only
+//! [`crate::Graph::validate_deep`] scans them.
 
 mod compressed;
 mod mmap;
@@ -55,6 +59,7 @@ pub use compressed::CompressedGraph;
 pub use mmap::MmapGraph;
 
 use crate::access::{graph_fingerprint, GraphAccess};
+use crate::hash::fnv1a;
 use crate::NodeId;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -83,23 +88,6 @@ pub const GXSC_BLOCK: u64 = 64;
 
 const MAGIC_GXSN: [u8; 4] = *b"GXSN";
 const MAGIC_GXSC: [u8; 4] = *b"GXSC";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit digest — the one copy, shared by snapshot headers and
-/// the checkpoint envelope (`gx_core::checkpoint::fnv1a`). Every byte
-/// step is a bijection of the running state, so same-length inputs
-/// differing in any single bit hash differently — the guarantee the
-/// corruption tests lean on.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -181,7 +169,7 @@ impl From<std::io::Error> for SnapshotError {
 /// Which snapshot format a header announces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
-    /// Raw page-aligned CSR arrays ([`MmapGraph`]).
+    /// Raw page-aligned CSR arrays ([`crate::Graph::open`]).
     Gxsn,
     /// Delta-varint compressed adjacency ([`CompressedGraph`]).
     Gxsc,
@@ -385,10 +373,11 @@ pub(crate) fn varint_decode(bytes: &[u8], mut pos: usize) -> Option<(u64, usize)
 // Atomic streaming writer
 // ---------------------------------------------------------------------------
 
-/// Streaming counterpart of `gx_core::checkpoint::write_atomic` for
-/// multi-gigabyte section writes: bytes land in a `.tmp` sibling through
+/// Atomic streaming file writer: bytes land in a `.tmp` sibling through
 /// a buffer, are fsynced, then renamed over the destination — a crash
-/// leaves either the old snapshot or the new one, never a torn file.
+/// leaves either the old file or the new one, never a torn file. The one
+/// copy of temp → fsync → rename, behind both snapshot writers and
+/// [`write_atomic`].
 struct AtomicFile {
     tmp: PathBuf,
     dest: PathBuf,
@@ -397,7 +386,7 @@ struct AtomicFile {
 }
 
 impl AtomicFile {
-    fn create(path: &Path) -> Result<Self, SnapshotError> {
+    fn create(path: &Path) -> std::io::Result<Self> {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
@@ -410,14 +399,14 @@ impl AtomicFile {
         })
     }
 
-    fn write(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.w.write_all(bytes)?;
         self.written += bytes.len() as u64;
         Ok(())
     }
 
     /// Zero-pads to the next page boundary (section separator).
-    fn pad_to_page(&mut self) -> Result<(), SnapshotError> {
+    fn pad_to_page(&mut self) -> std::io::Result<()> {
         const ZEROS: [u8; 256] = [0; 256];
         let mut gap = (PAGE as u64 - self.written % PAGE as u64) % PAGE as u64;
         while gap > 0 {
@@ -428,9 +417,9 @@ impl AtomicFile {
         Ok(())
     }
 
-    fn commit(self) -> Result<u64, SnapshotError> {
+    fn commit(self) -> std::io::Result<u64> {
         let AtomicFile { tmp, dest, w, written } = self;
-        let f = w.into_inner().map_err(|e| SnapshotError::Io(e.error().kind()))?;
+        let f = w.into_inner().map_err(|e| e.into_error())?;
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, &dest)?;
@@ -446,19 +435,26 @@ impl AtomicFile {
     }
 }
 
-/// Runs `build` against a fresh [`AtomicFile`], removing the temp file
-/// on any error so failed conversions leave no debris.
-fn write_snapshot(
+/// Runs `build` against a fresh [`AtomicFile`] and commits it, removing
+/// the temp file on any error so failed writes leave no debris.
+fn write_via_temp<E: From<std::io::Error>>(
     path: &Path,
-    build: impl FnOnce(&mut AtomicFile) -> Result<(), SnapshotError>,
-) -> Result<u64, SnapshotError> {
+    build: impl FnOnce(&mut AtomicFile) -> Result<(), E>,
+) -> Result<u64, E> {
     let mut f = AtomicFile::create(path)?;
     let tmp = f.tmp.clone();
-    let result = build(&mut f).and_then(|()| f.commit());
+    let result = build(&mut f).and_then(|()| Ok(f.commit()?));
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     result
+}
+
+/// Writes `bytes` to `path` atomically (temp sibling → fsync → rename):
+/// a crash at any point leaves either the old file or the new one. The
+/// checkpoint writer (`gx_core::checkpoint::write_atomic`) is this call.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_via_temp(path, |f| f.write(bytes)).map(|_| ())
 }
 
 // ---------------------------------------------------------------------------
@@ -534,7 +530,7 @@ pub fn write_gxsn<G: GraphAccess + ?Sized, P: AsRef<Path>>(
         aux_a: 0,
         aux_b: 0,
     };
-    let bytes = write_snapshot(path.as_ref(), |f| {
+    let bytes = write_via_temp(path.as_ref(), |f| {
         f.write(&header.encode())?;
         f.pad_to_page()?;
         let mut running = 0u64;
@@ -544,11 +540,11 @@ pub fn write_gxsn<G: GraphAccess + ?Sized, P: AsRef<Path>>(
             f.write(&running.to_le_bytes())?;
         }
         f.pad_to_page()?;
-        let mut err = Ok(());
+        let mut err: Result<(), SnapshotError> = Ok(());
         for v in 0..n {
             g.visit_neighbors(v as NodeId, &mut |nbrs| {
                 if err.is_ok() {
-                    err = write_u32s(f, nbrs);
+                    err = write_u32s(f, nbrs).map_err(SnapshotError::from);
                 }
             });
             err?;
@@ -565,7 +561,7 @@ pub fn write_gxsn<G: GraphAccess + ?Sized, P: AsRef<Path>>(
     })
 }
 
-fn write_u32s(f: &mut AtomicFile, xs: &[u32]) -> Result<(), SnapshotError> {
+fn write_u32s(f: &mut AtomicFile, xs: &[u32]) -> std::io::Result<()> {
     // Chunked little-endian serialization: one `write` per 4 KiB rather
     // than per entry keeps the BufWriter overhead off the 2E-entry loop.
     let mut buf = [0u8; 4096];
@@ -638,7 +634,7 @@ pub fn write_gxsc_with_block<G: GraphAccess + ?Sized, P: AsRef<Path>>(
         aux_a: block,
         aux_b: data_len,
     };
-    let bytes = write_snapshot(path.as_ref(), |f| {
+    let bytes = write_via_temp(path.as_ref(), |f| {
         f.write(&header.encode())?;
         f.pad_to_page()?;
         // Degrees: O(1) mapped degree lookups without touching a block.
@@ -660,7 +656,7 @@ pub fn write_gxsc_with_block<G: GraphAccess + ?Sized, P: AsRef<Path>>(
         f.pad_to_page()?;
         // Encode pass: one reusable per-node scratch buffer.
         let mut scratch: Vec<u8> = Vec::with_capacity(4096);
-        let mut err = Ok(());
+        let mut err: Result<(), SnapshotError> = Ok(());
         for v in 0..n {
             scratch.clear();
             g.visit_neighbors(v as NodeId, &mut |nbrs| {
@@ -672,7 +668,7 @@ pub fn write_gxsc_with_block<G: GraphAccess + ?Sized, P: AsRef<Path>>(
                 }
             });
             if err.is_ok() {
-                err = f.write(&scratch);
+                err = f.write(&scratch).map_err(SnapshotError::from);
             }
             err?;
         }

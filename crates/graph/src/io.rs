@@ -203,20 +203,20 @@ pub fn read_edge_list_compact_file(
         });
     }
     let n = originals.len();
-    let mut offsets = vec![0usize; n + 1];
+    let mut offsets = vec![0u64; n + 1];
     for (c, &id) in originals.iter().enumerate() {
-        offsets[c + 1] = offsets[c] + counts[&id] as usize;
+        offsets[c + 1] = offsets[c] + counts[&id];
     }
     drop(counts);
     let map = NodeIdMap { originals };
-    let mut adjacency = vec![0 as crate::NodeId; offsets[n]];
+    let mut adjacency = vec![0 as crate::NodeId; offsets[n] as usize];
     // Same pre-fill hugepage advice as the builder: the fill below is
     // random-access across the whole array.
     crate::csr::advise_hugepages(offsets.as_ptr().cast(), offsets.len() * 8);
     crate::csr::advise_hugepages(adjacency.as_ptr().cast(), adjacency.len() * 4);
 
     // Pass 2: drop each endpoint into its node's cursor slot.
-    let mut cursor: Vec<usize> = offsets[..n].to_vec();
+    let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
     for_each_edge(std::fs::File::open(path)?, |u, v| {
         if u == v {
             return Ok(());
@@ -226,7 +226,7 @@ pub fn read_edge_list_compact_file(
             _ => return Err(drift()),
         };
         let (iu, iv) = (cu as usize, cv as usize);
-        if cursor[iu] >= offsets[iu + 1] || cursor[iv] >= offsets[iv + 1] {
+        if cursor[iu] >= offsets[iu + 1] as usize || cursor[iv] >= offsets[iv + 1] as usize {
             return Err(drift());
         }
         adjacency[cursor[iu]] = cv;
@@ -235,7 +235,7 @@ pub fn read_edge_list_compact_file(
         cursor[iv] += 1;
         Ok(())
     })?;
-    if (0..n).any(|c| cursor[c] != offsets[c + 1]) {
+    if (0..n).any(|c| cursor[c] != offsets[c + 1] as usize) {
         return Err(drift());
     }
     drop(cursor);
@@ -245,7 +245,7 @@ pub fn read_edge_list_compact_file(
     let mut write = 0usize;
     let mut start = 0usize;
     for c in 0..n {
-        let end = offsets[c + 1];
+        let end = offsets[c + 1] as usize;
         adjacency[start..end].sort_unstable();
         let node_start = write;
         for i in start..end {
@@ -256,7 +256,7 @@ pub fn read_edge_list_compact_file(
             }
         }
         start = end;
-        offsets[c + 1] = write;
+        offsets[c + 1] = write as u64;
     }
     adjacency.truncate(write);
     Ok((Graph::from_csr_parts(offsets, adjacency), map))

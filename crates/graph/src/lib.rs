@@ -18,11 +18,13 @@
 //!   distributions and mixing times against theory;
 //! * [`connectivity`] — BFS, connected components and LCC extraction (the
 //!   paper evaluates on the largest connected component of every dataset);
-//! * [`disk`] — out-of-core snapshots: the page-aligned `GXSN` format
-//!   served zero-copy by [`MmapGraph`], the delta-varint `GXSC` format
-//!   behind [`CompressedGraph`]'s bounded decode cache, and atomic
-//!   writers for both. Both implement [`GraphAccess`], so every walk
-//!   engine runs unmodified — and bit-identically — off disk.
+//! * [`disk`] — out-of-core snapshots: the page-aligned `GXSN` format,
+//!   opened zero-copy as a plain [`Graph`] by [`Graph::open`], the
+//!   delta-varint `GXSC` format behind [`CompressedGraph`]'s bounded
+//!   decode cache, and atomic writers for both. Every walk engine runs
+//!   unmodified — and bit-identically — off disk;
+//! * [`hash`] — the FNV-1a and SplitMix64 primitives behind snapshot
+//!   headers, checkpoints, fingerprints and derived seeds.
 //!
 //! All randomness is injected through [`rand::Rng`], and the workspace uses
 //! PCG64 seeds everywhere so experiments are exactly reproducible.
@@ -34,6 +36,7 @@ pub mod csr;
 pub mod disk;
 pub mod error;
 pub mod generators;
+pub mod hash;
 pub mod io;
 pub mod stats;
 pub mod subrel;

@@ -9,7 +9,7 @@
 //! [`ServiceError`] — never a hang, never an
 //! escaped panic.
 
-use crate::cache::{SharedGraph, SnapshotCache};
+use crate::cache::SnapshotCache;
 use crate::recovery::BackoffPolicy;
 use crate::scheduler::{self, JobShared, ServiceShared};
 use crate::sync::{locked, wait_timeout_unpoisoned, wait_unpoisoned};
@@ -17,7 +17,8 @@ use gx_core::parallel::available_cores;
 use gx_core::{
     Estimate, EstimatorConfig, FaultPlan, GxError, Progress, ServiceError, StoppingRule,
 };
-use gx_graph::{Graph, MmapGraph};
+use gx_graph::hash::{splitmix64, SPLITMIX_GAMMA};
+use gx_graph::Graph;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,7 +77,7 @@ impl JobFaults {
         let mut x = seed;
         let mut next = move || {
             x = x.wrapping_add(1);
-            crate::recovery::splitmix(x.wrapping_mul(0xA076_1D64_78BD_642F))
+            splitmix64(x.wrapping_mul(0xA076_1D64_78BD_642F).wrapping_add(SPLITMIX_GAMMA))
         };
         let mut faults = Self::none();
         if next() % 3 == 0 {
@@ -97,7 +98,7 @@ impl JobFaults {
 /// submitted via [`EstimationService::submit`].
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    pub(crate) graph: SharedGraph,
+    pub(crate) graph: Arc<Graph>,
     pub(crate) cfg: EstimatorConfig,
     pub(crate) budget: Option<JobBudget>,
     pub(crate) walkers: usize,
@@ -109,24 +110,16 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job estimating `cfg` on `g`, with no budget yet, one walker,
-    /// seed 0, weight 1, no deadline, and no faults. Submitting the
-    /// same `Arc` (or the canonical one a previous submit shared) skips
-    /// the per-submit fingerprint scan.
-    pub fn new(g: Arc<Graph>, cfg: EstimatorConfig) -> Self {
-        Self::over(SharedGraph::Ram(g), cfg)
-    }
-
-    /// [`JobSpec::new`] over a mapped `.gxsn` snapshot (see
-    /// [`gx_graph::MmapGraph`]): the job runs straight off the page
-    /// cache, and submissions of the same snapshot share one mapping
-    /// through the service's [`SnapshotCache`].
-    pub fn new_mapped(g: Arc<MmapGraph>, cfg: EstimatorConfig) -> Self {
-        Self::over(SharedGraph::Mapped(g), cfg)
-    }
-
-    /// The common constructor over either backend.
-    pub fn over(graph: SharedGraph, cfg: EstimatorConfig) -> Self {
+    /// A job estimating `cfg` on `graph`, with no budget yet, one
+    /// walker, seed 0, weight 1, no deadline, and no faults.
+    ///
+    /// `graph` is built in RAM or opened from a `.gxsn` snapshot
+    /// ([`Graph::open`], or [`SnapshotCache::from_mapped`] to share one
+    /// mapping); a mapped job runs straight off the page cache.
+    /// Submitting the same `Arc` (or the canonical one a previous submit
+    /// shared) skips the per-submit fingerprint scan, and a mapped
+    /// snapshot never needs one: its header carries the fingerprint.
+    pub fn new(graph: Arc<Graph>, cfg: EstimatorConfig) -> Self {
         Self {
             graph,
             cfg,
@@ -220,8 +213,9 @@ pub struct JobResult {
     /// Scheduler leases the job received (excluding leases lost to a
     /// worker failure).
     pub leases: usize,
-    /// Times the job was re-adopted from its checkpoint after a worker
-    /// failure.
+    /// Worker failures during the job's leases. Each was followed by a
+    /// re-adoption from the job's checkpoint, except the last one of a
+    /// [`ServiceError::Poisoned`] job.
     pub recoveries: usize,
     /// Checkpoint-write retries spent across all leases.
     pub checkpoint_retries: usize,

@@ -14,13 +14,14 @@
 //!   cooperative cancellation, progress polling.
 //! * Typed terminal outcomes only: every submitted job ends in
 //!   `Ok(Estimate)` or a [`gx_core::ServiceError`]
-//!   (`Rejected`/`DeadlineExceeded`/`Cancelled`/`Shutdown`), with a
-//!   best-effort partial estimate attached where one exists.
+//!   (`Rejected`/`DeadlineExceeded`/`Cancelled`/`Shutdown`/`Poisoned`),
+//!   with a best-effort partial estimate attached where one exists.
 //! * Crash recovery: a worker that panics is quarantined and replaced;
 //!   its in-flight job is re-adopted from its last round-boundary
 //!   checkpoint by a surviving worker — bit-identical to an
 //!   uninterrupted run, by the checkpoint subsystem's golden-bit
-//!   contract.
+//!   contract. A job that has panicked [`MAX_RECOVERIES`] workers ends
+//!   `Poisoned` instead.
 //!
 //! The design hinge: a descheduled job *is* its checkpoint bytes.
 //! Scheduling, migration, and crash recovery are all
@@ -39,10 +40,10 @@ mod sync;
 pub use api::{
     EstimationService, JobFaults, JobHandle, JobId, JobResult, JobSpec, ServiceConfig, ServiceStats,
 };
-pub use cache::{SharedGraph, SnapshotCache};
+pub use cache::SnapshotCache;
 pub use deadline::Deadline;
 pub use gx_core::ServiceError;
-pub use recovery::{BackoffPolicy, InjectedWorkerPanic};
+pub use recovery::{BackoffPolicy, InjectedWorkerPanic, MAX_RECOVERIES};
 
 use std::panic::PanicHookInfo;
 use std::sync::Once;

@@ -19,11 +19,12 @@
 //! still terminates the job with a typed outcome.
 
 use crate::api::{JobBudget, JobFaults};
-use crate::cache::SharedGraph;
 use crate::deadline::Deadline;
 use crate::scheduler::JobShared;
 use crate::sync::locked;
 use gx_core::{Estimate, FaultPlan, Runner};
+use gx_graph::hash::{splitmix64, SPLITMIX_GAMMA};
+use gx_graph::Graph;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,19 +61,17 @@ impl BackoffPolicy {
         let capped = exp.min(self.cap);
         // Jitter in [0.5, 1.0]: half-scale at minimum keeps the backoff
         // meaningful, full-scale at maximum never exceeds the cap.
-        let jitter = 0.5 + 0.5 * (splitmix(seed ^ u64::from(attempt)) as f64 / u64::MAX as f64);
+        let mix = splitmix64((seed ^ u64::from(attempt)).wrapping_add(SPLITMIX_GAMMA));
+        let jitter = 0.5 + 0.5 * (mix as f64 / u64::MAX as f64);
         capped.mul_f64(jitter)
     }
 }
 
-/// One SplitMix64 output — the deterministic jitter source (also the
-/// stream behind [`crate::JobFaults::from_seed`]).
-pub(crate) fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Worker panics one job may cause before the scheduler stops
+/// re-adopting it and resolves it as [`gx_core::ServiceError::Poisoned`].
+/// Injected panics fire once per plan, so only a lease that panics
+/// deterministically — a corrupt snapshot body, a bug — reaches it.
+pub const MAX_RECOVERIES: usize = 3;
 
 /// The panic payload of an injected worker failure, so robustness tests
 /// can distinguish (and silence) injected crashes from real bugs. See
@@ -85,7 +84,7 @@ pub struct InjectedWorkerPanic;
 /// worker holds **no lock** while running a lease, so a panicking lease
 /// can never poison the scheduler.
 pub(crate) struct Lease {
-    pub graph: SharedGraph,
+    pub graph: Arc<Graph>,
     pub fingerprint: u64,
     pub cfg: gx_core::EstimatorConfig,
     pub budget: JobBudget,
@@ -156,7 +155,7 @@ pub(crate) fn run_lease(lease: Lease) -> LeaseEnd {
         deadline,
         shared,
     } = lease;
-    let g: &SharedGraph = &graph;
+    let g: &Graph = &graph;
 
     // Cheap pre-checks before any handle is built: a job cancelled or
     // expired while queued terminates here, with a partial estimate

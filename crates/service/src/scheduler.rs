@@ -17,11 +17,12 @@ use crate::admission::{Admission, LeaseClock};
 use crate::api::{
     JobBudget, JobFaults, JobHandle, JobId, JobResult, JobSpec, ServiceConfig, ServiceStats,
 };
-use crate::cache::{SharedGraph, SnapshotCache};
+use crate::cache::SnapshotCache;
 use crate::deadline::Deadline;
-use crate::recovery::{run_lease, BackoffPolicy, Lease, LeaseEnd};
+use crate::recovery::{run_lease, BackoffPolicy, Lease, LeaseEnd, MAX_RECOVERIES};
 use crate::sync::{locked, wait_unpoisoned};
 use gx_core::{Estimate, EstimatorConfig, GxError, Progress, Runner, ServiceError};
+use gx_graph::Graph;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
@@ -62,7 +63,7 @@ impl JobShared {
 /// job's entire run state is `snapshot` — see the module docs of
 /// [`crate::recovery`] for why that single representation is the point.
 struct JobRecord {
-    graph: SharedGraph,
+    graph: Arc<Graph>,
     fingerprint: u64,
     cfg: EstimatorConfig,
     budget: JobBudget,
@@ -180,13 +181,13 @@ pub(crate) fn submit(shared: &Arc<ServiceShared>, spec: JobSpec) -> Result<JobHa
     // graph, ever), then validate the full spec by building — not
     // running — the same handle a worker would, so every config error
     // surfaces at the door with the exact core error it deserves.
-    let (graph, fingerprint) = shared.cache.intern_shared(spec.graph.clone());
+    let (graph, fingerprint) = shared.cache.intern(spec.graph.clone());
     {
         let runner = match &budget {
             JobBudget::Fixed(steps) => Runner::new(spec.cfg.clone()).steps(*steps),
             JobBudget::Until(rule) => Runner::new(spec.cfg.clone()).until(rule.clone()),
         };
-        runner.seed(spec.seed).walkers(spec.walkers).start(&graph)?;
+        runner.seed(spec.seed).walkers(spec.walkers).start(&*graph)?;
     }
 
     // Adaptive budgets advance on the rule's own cadence so the service
@@ -425,7 +426,8 @@ fn settle(shared: &ServiceShared, id: JobId, end: LeaseEnd, elapsed: Duration) {
 /// recovery should not also wait a full cycle), and spawns a
 /// replacement worker so pool capacity is unchanged. The job's last
 /// snapshot never left the scheduler, so re-adoption is just the next
-/// grant.
+/// grant — until the job has panicked [`MAX_RECOVERIES`] workers, when
+/// it resolves as [`ServiceError::Poisoned`] instead.
 fn quarantine_and_readopt(shared: &Arc<ServiceShared>, id: JobId, elapsed: Duration) {
     let spawn_replacement = {
         let mut st = locked(&shared.state);
@@ -437,8 +439,11 @@ fn quarantine_and_readopt(shared: &Arc<ServiceShared>, id: JobId, elapsed: Durat
             job.in_flight = false;
             job.recoveries += 1;
             job.deficit = job.deficit.saturating_sub(job.weight as usize);
+            let poisoned = job.recoveries >= MAX_RECOVERIES;
             if st.shutdown {
                 resolve(&mut st, id, Err(ServiceError::Shutdown), None, false);
+            } else if poisoned {
+                resolve(&mut st, id, Err(ServiceError::Poisoned), None, false);
             } else {
                 st.ready.push_front(id);
             }

@@ -5,6 +5,7 @@
 //! releases, which would silently break the reproducibility of every
 //! experiment in EXPERIMENTS.md.
 
+use gx_graph::hash::{splitmix64, SPLITMIX_GAMMA};
 use rand::SeedableRng;
 
 /// The workspace-wide PRNG.
@@ -35,10 +36,7 @@ pub fn import_rng_state(state: u128, increment: u128) -> WalkRng {
 /// finalization — used to give every repetition / dataset / method its own
 /// stream without correlated low bits.
 pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(base ^ stream.wrapping_mul(SPLITMIX_GAMMA))
 }
 
 #[cfg(test)]

@@ -64,10 +64,8 @@ pub use gx_core::{
     WalkerStatus,
 };
 pub use gx_graph::{
-    read_header, write_gxsc, write_gxsn, CompressedGraph, Graph, GraphAccess, MmapGraph, NodeId,
+    read_header, write_gxsc, write_gxsn, CompressedGraph, Graph, GraphAccess, NodeId,
     SnapshotError, SnapshotHeader, SnapshotInfo, SnapshotKind,
 };
 pub use gx_graphlets::GraphletId;
-pub use gx_service::{
-    EstimationService, JobHandle, JobResult, JobSpec, ServiceConfig, SharedGraph,
-};
+pub use gx_service::{EstimationService, JobHandle, JobResult, JobSpec, ServiceConfig};

@@ -2,7 +2,8 @@
 //!
 //! The hard contract: an estimation run is a function of the graph's
 //! *content*, never of its storage. A `.gxsn` snapshot served zero-copy
-//! through [`MmapGraph`] (or its portable read-into-RAM fallback) and a
+//! as a [`Graph`] by [`Graph::open`] (or its portable read-into-RAM
+//! fallback, [`Graph::open_in_ram`]) and a
 //! `.gxsc` delta-varint snapshot decoded through [`CompressedGraph`]
 //! must produce **bit-identical** raw scores, `BatchStats`, and
 //! checkpoints to the in-RAM [`Graph`] they were written from — for
@@ -13,7 +14,7 @@
 use graphlet_rw::graph::generators::classic;
 use graphlet_rw::graph::{disk, GraphAccess};
 use graphlet_rw::{
-    graph_fingerprint, CompressedGraph, EstimatorConfig, Graph, MmapGraph, Runner, SnapshotError,
+    graph_fingerprint, CompressedGraph, EstimatorConfig, Graph, Runner, SnapshotError,
 };
 use std::path::PathBuf;
 
@@ -78,8 +79,8 @@ fn structure_round_trips_through_both_formats() {
     // The compressed form should actually compress this adjacency.
     assert!(info_c.num_edges == info_n.num_edges && info_n.num_nodes == g.num_nodes() as u64);
 
-    let m = MmapGraph::open(&sn).unwrap();
-    let r = MmapGraph::open_in_ram(&sn).unwrap();
+    let m = Graph::open(&sn).unwrap();
+    let r = Graph::open_in_ram(&sn).unwrap();
     let c = CompressedGraph::open(&sc).unwrap();
     for b in [&m as &dyn GraphAccess, &r as &dyn GraphAccess, &c as &dyn GraphAccess] {
         assert_eq!(b.num_nodes(), g.num_nodes());
@@ -102,15 +103,31 @@ fn structure_round_trips_through_both_formats() {
 }
 
 #[test]
+fn opened_gxsn_equals_the_builder_graph_it_was_written_from() {
+    let g = reference_graph();
+    let sn = tmp("equal.gxsn");
+    disk::write_gxsn(&g, None, &sn).unwrap();
+    let mapped = Graph::open(&sn).unwrap();
+    let in_ram = Graph::open_in_ram(&sn).unwrap();
+    std::fs::remove_file(&sn).ok();
+    assert_eq!(mapped, g);
+    assert_eq!(in_ram, g);
+    assert!(!in_ram.is_mapped() && !g.is_mapped());
+    // The degree-40 hub answers `has_edge` like the builder's graph.
+    for v in 0..g.num_nodes() as u32 {
+        assert_eq!(mapped.has_edge(0, v), g.has_edge(0, v), "(0,{v})");
+        assert_eq!(in_ram.has_edge(v, 0), g.has_edge(v, 0), "({v},0)");
+    }
+}
+
+#[test]
 fn every_backend_flavor_engine_cell_matches_the_ram_golden_bits() {
     let g = reference_graph();
     let sn = tmp("matrix.gxsn");
     let sc = tmp("matrix.gxsc");
     disk::write_gxsn(&g, None, &sn).unwrap();
     disk::write_gxsc(&g, None, &sc).unwrap();
-    let mapped = MmapGraph::open(&sn).unwrap();
-    let mut hubbed = MmapGraph::open(&sn).unwrap();
-    hubbed.build_hub_index();
+    let mapped = Graph::open(&sn).unwrap();
     let compressed = CompressedGraph::open(&sc).unwrap();
     std::fs::remove_file(&sn).ok();
     std::fs::remove_file(&sc).ok();
@@ -126,7 +143,6 @@ fn every_backend_flavor_engine_cell_matches_the_ram_golden_bits() {
                     .walkers(walkers)
                     .batch_width(width);
                 assert_estimates_bit_identical(&golden, &r.run_local(&mapped).unwrap());
-                assert_estimates_bit_identical(&golden, &r.run_local(&hubbed).unwrap());
                 assert_estimates_bit_identical(&golden, &r.run_local(&compressed).unwrap());
             }
         }
@@ -138,7 +154,7 @@ fn checkpoints_cross_backends_bit_identically() {
     let g = reference_graph();
     let sn = tmp("checkpoint.gxsn");
     disk::write_gxsn(&g, None, &sn).unwrap();
-    let mapped = MmapGraph::open(&sn).unwrap();
+    let mapped = Graph::open(&sn).unwrap();
     std::fs::remove_file(&sn).ok();
     let cfg = EstimatorConfig::recommended(4);
 
@@ -201,7 +217,7 @@ fn truncation_at_every_length_is_a_typed_error() {
             let err = if compressed {
                 CompressedGraph::open(&cut).map(|_| ()).unwrap_err()
             } else {
-                MmapGraph::open(&cut).map(|_| ()).unwrap_err()
+                Graph::open(&cut).map(|_| ()).unwrap_err()
             };
             assert!(
                 matches!(err, SnapshotError::Truncated { .. } | SnapshotError::Malformed { .. }),
@@ -210,7 +226,7 @@ fn truncation_at_every_length_is_a_typed_error() {
             if compressed {
                 CompressedGraph::open_in_ram(&cut).map(|_| ()).unwrap_err();
             } else {
-                MmapGraph::open_in_ram(&cut).map(|_| ()).unwrap_err();
+                Graph::open_in_ram(&cut).map(|_| ()).unwrap_err();
             }
         }
         std::fs::remove_file(&path).ok();
@@ -238,7 +254,7 @@ fn every_single_bit_flip_in_the_header_is_a_typed_error() {
                 let res = if compressed {
                     CompressedGraph::open(&flipped).map(|_| ())
                 } else {
-                    MmapGraph::open(&flipped).map(|_| ())
+                    Graph::open(&flipped).map(|_| ())
                 };
                 // Never Ok (the checksum covers bytes 0..56, the
                 // checksum itself is bytes 56..64), and via `Result`,
@@ -262,7 +278,7 @@ fn corrupted_offsets_are_refused_at_open_and_adjacency_by_validate_deep() {
     let mut corrupt = bytes.clone();
     corrupt[4096 + 8] = 0xFF;
     std::fs::write(&path, &corrupt).unwrap();
-    let err = MmapGraph::open(&path).map(|_| ()).unwrap_err();
+    let err = Graph::open(&path).map(|_| ()).unwrap_err();
     assert!(matches!(err, SnapshotError::Malformed { .. }), "{err:?}");
 
     // Adjacency bit-rot is not caught by the O(nodes) open validation —
@@ -270,7 +286,7 @@ fn corrupted_offsets_are_refused_at_open_and_adjacency_by_validate_deep() {
     let mut corrupt = bytes.clone();
     corrupt[2 * 4096] ^= 0x01;
     std::fs::write(&path, &corrupt).unwrap();
-    let m = MmapGraph::open(&path).unwrap();
+    let m = Graph::open(&path).unwrap();
     let err = m.validate_deep().unwrap_err();
     assert!(matches!(err, SnapshotError::Malformed { .. }), "{err:?}");
     std::fs::remove_file(&path).ok();
@@ -283,10 +299,10 @@ fn wrong_format_and_missing_file_are_typed_errors() {
     let sc = tmp("crossed.gxsc");
     disk::write_gxsn(&g, None, &sn).unwrap();
     disk::write_gxsc(&g, None, &sc).unwrap();
-    assert_eq!(MmapGraph::open(&sc).map(|_| ()).unwrap_err(), SnapshotError::BadMagic);
+    assert_eq!(Graph::open(&sc).map(|_| ()).unwrap_err(), SnapshotError::BadMagic);
     assert_eq!(CompressedGraph::open(&sn).map(|_| ()).unwrap_err(), SnapshotError::BadMagic);
     assert_eq!(
-        MmapGraph::open(tmp("no-such-file.gxsn")).map(|_| ()).unwrap_err(),
+        Graph::open(tmp("no-such-file.gxsn")).map(|_| ()).unwrap_err(),
         SnapshotError::Io(std::io::ErrorKind::NotFound)
     );
     std::fs::remove_file(&sn).ok();
@@ -317,8 +333,8 @@ fn two_mapped_jobs_share_one_mmap_with_pointer_equal_neighbors() {
 
     let cfg = EstimatorConfig::recommended(4);
     let golden = Runner::new(cfg.clone()).steps(2_000).seed(3).run_local(&g).unwrap();
-    let j1 = service.submit(JobSpec::new_mapped(g1, cfg.clone()).steps(2_000).seed(3)).unwrap();
-    let j2 = service.submit(JobSpec::new_mapped(g2, cfg.clone()).steps(2_000).seed(3)).unwrap();
+    let j1 = service.submit(JobSpec::new(g1, cfg.clone()).steps(2_000).seed(3)).unwrap();
+    let j2 = service.submit(JobSpec::new(g2, cfg.clone()).steps(2_000).seed(3)).unwrap();
     let r1 = j1.wait().outcome.unwrap();
     let r2 = j2.wait().outcome.unwrap();
     assert_estimates_bit_identical(&golden, &r1);

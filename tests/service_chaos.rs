@@ -117,6 +117,7 @@ fn chaos_wave(wave_seed: u64, jobs: usize) {
             }
             Err(ServiceError::Shutdown) => panic!("nobody shut the service down yet"),
             Err(ServiceError::Rejected { .. }) => panic!("admitted jobs cannot be rejected"),
+            Err(ServiceError::Poisoned) => panic!("an injected panic fires once, never poisons"),
         }
     }
 

@@ -25,7 +25,7 @@
 use graphlet_rw::graph::generators::classic;
 use graphlet_rw::service::{
     silence_injected_panics, EstimationService, JobFaults, JobHandle, JobResult, JobSpec,
-    ServiceConfig,
+    ServiceConfig, MAX_RECOVERIES,
 };
 use graphlet_rw::{
     Estimate, EstimatorConfig, GraphAccess, GxError, Runner, ServiceError, StoppingRule,
@@ -244,6 +244,37 @@ fn job_recovers_bit_identical_after_worker_panic() {
     assert_eq!(stats.quarantined_workers, 1);
     assert_eq!(stats.healthy_workers, 1, "the quarantined worker was replaced");
     assert_eq!(stats.recoveries, 1);
+}
+
+/// A lease that panics on every attempt — here a walk reaching a
+/// neighbor id out of range, planted in a GXSN body the header checksum
+/// does not cover — quarantines a worker per attempt until the job has
+/// used its [`MAX_RECOVERIES`], then ends as a typed `Poisoned` instead
+/// of looping forever.
+#[test]
+fn deterministically_panicking_job_ends_poisoned() {
+    let g = classic::petersen();
+    let path = std::env::temp_dir()
+        .join(format!("gx_service_conformance_poisoned_{}.gxsn", std::process::id()));
+    graphlet_rw::write_gxsn(&g, None, &path).expect("write snapshot");
+    let mut bytes = std::fs::read(&path).expect("read snapshot");
+    // The adjacency section starts on the page after the offsets; its
+    // first entry is node 0's first neighbor (node 0 is no hub).
+    let first_neighbor = 2 * 4096;
+    bytes[first_neighbor..first_neighbor + 4]
+        .copy_from_slice(&(g.num_nodes() as u32).to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite snapshot");
+    let corrupt = Arc::new(graphlet_rw::Graph::open(&path).expect("the body is not checksummed"));
+    std::fs::remove_file(&path).ok();
+
+    let service =
+        EstimationService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let job = service.submit(JobSpec::new(corrupt, cfg()).steps(20_000).seed(5)).expect("admitted");
+    let result = wait(&job);
+    assert!(matches!(result.outcome, Err(ServiceError::Poisoned)), "{:?}", result.outcome);
+    assert_eq!(result.recoveries, MAX_RECOVERIES);
+    assert_eq!(service.stats().quarantined_workers, MAX_RECOVERIES);
+    service.shutdown();
 }
 
 /// The recovery satellite, degraded half: a poisoned *walker* (not a
